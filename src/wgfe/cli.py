@@ -288,7 +288,6 @@ def _spec_from_dict(raw) -> SimulationSpec:
         covariate_law=law,
         dynamic=bool(raw.get("dynamic", False)),
         error_law=raw.get("error_law", "gaussian_grouped"),
-        seed=int(raw.get("seed", 0)),
     )
 
 

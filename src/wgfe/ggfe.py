@@ -24,15 +24,21 @@ from .errors import (
 )
 from .model import (
     GroupAssignment,
-    GroupParameters,
-    ObjectiveBreakdown,
     PanelDataset,
+    _clamped_sigma,
     _profile_distances,
     group_ssr,
     residual_profiles,
     sigma_floor,
 )
-from .solvers import EstimationResult, SolverConfig, _fit_raw, _repair_empty, initialize
+from .solvers import (
+    EstimationResult,
+    SolverConfig,
+    _build_result,
+    _fit_raw,
+    _repair_empty,
+    initialize,
+)
 
 EPS_EIG = 1e-10
 """Relative eigenvalue floor (times trace/T) for matrix square roots."""
@@ -43,6 +49,16 @@ INNER_EVAL_BUDGET = 50
 
 def _sym(a):
     return (a + a.T) / 2.0
+
+
+def _eig_floor(a):
+    """Eigenvalue clamp ``EPS_EIG * trace / dim`` of a symmetric matrix."""
+    return EPS_EIG * max(float(np.trace(a)), 0.0) / a.shape[0]
+
+
+def _eig_rebuild(evecs, lam):
+    """The symmetric matrix ``U diag(lam) U'`` for eigenvectors ``U``."""
+    return _sym((evecs * lam) @ evecs.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +106,7 @@ class SpdMatrix:
 
     @property
     def eps_eig(self) -> float:
-        return EPS_EIG * max(self.trace, 0.0) / self.dim
+        return _eig_floor(self.values)
 
     @property
     def definite(self) -> bool:
@@ -106,20 +122,17 @@ class SpdMatrix:
 
     def clamped(self) -> np.ndarray:
         """The matrix with eigenvalues floored at ``eps_eig``."""
-        lam = self.clamped_eigenvalues()
-        return _sym((self._evecs * lam) @ self._evecs.T)
+        return _eig_rebuild(self._evecs, self.clamped_eigenvalues())
 
     def sqrt(self) -> np.ndarray:
         if not self.definite:
             raise NonSpdError("matrix with nonpositive trace has no usable root")
-        lam = np.sqrt(self.clamped_eigenvalues())
-        return _sym((self._evecs * lam) @ self._evecs.T)
+        return _eig_rebuild(self._evecs, np.sqrt(self.clamped_eigenvalues()))
 
     def inv_sqrt(self) -> np.ndarray:
         if not self.definite:
             raise NonSpdError("matrix with nonpositive trace has no usable root")
-        lam = 1.0 / np.sqrt(self.clamped_eigenvalues())
-        return _sym((self._evecs * lam) @ self._evecs.T)
+        return _eig_rebuild(self._evecs, 1.0 / np.sqrt(self.clamped_eigenvalues()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +221,7 @@ def _sqrtm_psd(a):
     """Principal square root with the relative eigenvalue floor."""
     a = _sym(a)
     evals, evecs = np.linalg.eigh(a)
-    floor = EPS_EIG * max(float(np.trace(a)), 0.0) / a.shape[0]
-    lam = np.sqrt(np.maximum(evals, floor))
-    return _sym((evecs * lam) @ evecs.T)
+    return _eig_rebuild(evecs, np.sqrt(np.maximum(evals, _eig_floor(a))))
 
 
 def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
@@ -305,7 +316,7 @@ def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
     for h in range(g):
         a_h = _sym(root @ sigs[h] @ root)
         d, u = np.linalg.eigh(a_h)
-        floor = EPS_EIG * max(float(np.trace(a_h)), 0.0) / t
+        floor = _eig_floor(a_h)
         if d[0] < floor:
             raise IllConditionedError(
                 f"group {h + 1}: covariance factor eigenvalue {d[0]:.3e} "
@@ -446,16 +457,5 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         gamma = gamma_next
     theta, alpha, gamma, value = best
     q = group_ssr(data, theta, alpha, gamma)
-    sigma = np.maximum(np.sqrt(q), sigma_floor(data))
-    weights = gamma.weights()
-    return EstimationResult(
-        params=GroupParameters(theta, alpha, sigma, weights),
-        assignment=gamma,
-        objective=value,
-        breakdown=ObjectiveBreakdown(q, weights, value),
-        mode="ggfe",
-        n_lloyd_iters=n_iters,
-        n_restarts_used=1,
-        converged=converged,
-        trace=tuple(trace),
-    )
+    state = (theta, alpha, _clamped_sigma(q, sigma_floor(data)), q, value)
+    return _build_result(config, state, gamma, n_iters, converged, tuple(trace))

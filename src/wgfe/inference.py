@@ -14,14 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyGroupError
+from .errors import EmptyGroupError, WgfeError
 from .model import (
     GroupAssignment,
     PanelDataset,
+    _clamped_sigma,
+    _demean_by_group,
     gfe_objective,
     sigma_floor,
     wgfe_objective,
-    within_group_means,
 )
 from .solvers import EstimationResult, SolverConfig, multi_start
 
@@ -153,9 +154,8 @@ def variance_estimates(data: PanelDataset, result: EstimationResult) -> Inferenc
 
     if n * t <= p:
         raise ValueError("panel too small for a degrees-of-freedom correction")
-    sigma_hat = np.maximum(np.sqrt(sigma2), sigma_floor(data))
-    means = within_group_means(data, gamma)
-    xt = data.covariates - means.covariates[idx]
+    sigma_hat = _clamped_sigma(sigma2, sigma_floor(data))
+    xt = _demean_by_group(data, idx, counts)[3]
     w = 1.0 / sigma_hat[idx]
     bread = np.einsum("i,itp,itq->pq", w, xt, xt) / (n * t)
     scores = np.einsum("itp,it->ip", xt, u)
@@ -214,8 +214,10 @@ def select_n_groups(
     with ``sigma2_base`` the pooled residual variance of the most generous
     fit (G = g_max).  Counts whose BIC ties the minimum within 1e-9 resolve
     to the smallest count, so a perfectly fit panel selects the most
-    parsimonious perfect count.  Candidates whose search fails are recorded
-    in the table and skipped.
+    parsimonious perfect count.  Candidates whose search fails (a package
+    error, a linear-algebra failure, or a ``ValueError`` such as more groups
+    than units) are recorded in the table and skipped; any other exception
+    propagates.
     """
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
@@ -230,7 +232,7 @@ def select_n_groups(
     for g in range(1, g_max + 1):
         try:
             fits[g] = multi_start(data, replace(config, n_groups=g))
-        except Exception as exc:  # noqa: BLE001 - recorded per candidate
+        except (WgfeError, np.linalg.LinAlgError, ValueError) as exc:
             failures[g] = str(exc)
     if g_max not in fits:
         raise ValueError(f"reference fit at g_max={g_max} failed: {failures[g_max]}")

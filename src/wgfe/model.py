@@ -286,6 +286,80 @@ def _group_index(data: PanelDataset, gamma: GroupAssignment) -> np.ndarray:
     return gamma.labels - 1
 
 
+def _group_means(data: PanelDataset, idx: np.ndarray, counts: np.ndarray):
+    """Group-by-period means ``(ybar (G, T), xbar (G, T, p))``.
+
+    Rows of empty groups come out as 0/0; each caller applies its own
+    policy (NaN sentinels or a raise) and its own floating-point error state.
+    """
+    g, t, p = counts.shape[0], data.n_periods, data.n_covariates
+    ybar = np.zeros((g, t))
+    np.add.at(ybar, idx, data.outcomes)
+    ybar /= counts[:, None]
+    xbar = np.zeros((g, t, p))
+    if p:
+        np.add.at(xbar, idx, data.covariates)
+        xbar /= counts[:, None, None]
+    return ybar, xbar
+
+
+def _demean_by_group(data: PanelDataset, idx: np.ndarray, counts: np.ndarray):
+    """Group means plus outcomes and covariates net of them.
+
+    Returns ``(ybar, xbar, yt, xt)`` with ``yt`` of shape (N, T) and ``xt``
+    of shape (N, T, p); every group must be non-empty.
+    """
+    ybar, xbar = _group_means(data, idx, counts)
+    return ybar, xbar, data.outcomes - ybar[idx], data.covariates - xbar[idx]
+
+
+def _two_way_demeaned(data: PanelDataset):
+    """Outcomes (NT,) and covariates (NT, p) net of unit and period means."""
+    y, x = data.outcomes, data.covariates
+    ydd = (
+        y - y.mean(axis=0, keepdims=True) - y.mean(axis=1, keepdims=True) + y.mean()
+    )
+    xdd = (
+        x
+        - x.mean(axis=0, keepdims=True)
+        - x.mean(axis=1, keepdims=True)
+        + x.mean(axis=(0, 1), keepdims=True)
+    )
+    return ydd.ravel(), xdd.reshape(-1, data.n_covariates)
+
+
+def _least_squares(x: np.ndarray, y: np.ndarray, xw: np.ndarray = None) -> np.ndarray:
+    """Solve the normal equations ``(x' xw) b = xw' y`` for 2-d ``x``.
+
+    ``xw`` is ``x`` with rows scaled by observation weights (``x`` itself
+    when unweighted).
+
+    Raises
+    ------
+    SingularDesignError
+        If the Gram matrix is numerically rank deficient.
+    """
+    xw = x if xw is None else xw
+    gram = x.T @ xw
+    _check_rank(gram, x.shape[1])
+    return np.linalg.solve(gram, xw.T @ y)
+
+
+def _group_q(resid: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-group mean squared residuals Q_g of an (N, T) residual array.
+
+    Empty groups come out as 0/0; each caller applies its own policy.
+    """
+    per_unit = np.einsum("it,it->i", resid, resid)
+    sums = np.bincount(idx, weights=per_unit, minlength=counts.shape[0])
+    return sums / (resid.shape[1] * counts)
+
+
+def _clamped_sigma(q: np.ndarray, floor: float) -> np.ndarray:
+    """Group scales sqrt(Q_g), clamped below by ``floor`` (see :func:`sigma_floor`)."""
+    return np.maximum(np.sqrt(q), floor)
+
+
 def within_group_means(
     data: PanelDataset, gamma: GroupAssignment
 ) -> WithinGroupMeans:
@@ -303,23 +377,10 @@ def within_group_means(
         empty groups are NaN and their labels are listed in ``empty``; the
         caller chooses the repair policy.
     """
-    idx = _group_index(data, gamma)
-    g, t, p = gamma.n_groups, data.n_periods, data.n_covariates
     counts = gamma.counts()
-    ybar = np.zeros((g, t))
-    np.add.at(ybar, idx, data.outcomes)
-    xbar = np.zeros((g, t, p))
-    if p:
-        np.add.at(xbar, idx, data.covariates)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ybar /= counts[:, None]
-        if p:
-            xbar /= counts[:, None, None]
+        ybar, xbar = _group_means(data, _group_index(data, gamma), counts)
     empty = tuple(int(i) + 1 for i in np.nonzero(counts == 0)[0])
-    if empty:
-        ybar[np.asarray(empty) - 1] = np.nan
-        if p:
-            xbar[np.asarray(empty) - 1] = np.nan
     return WithinGroupMeans(ybar, xbar, empty)
 
 
@@ -345,10 +406,7 @@ def group_ssr(
     counts = gamma.counts()
     if np.any(counts == 0):
         raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
-    resid = residual_profiles(data, theta) - alpha[idx]
-    per_unit = np.einsum("it,it->i", resid, resid)
-    sums = np.bincount(idx, weights=per_unit, minlength=gamma.n_groups)
-    return sums / (data.n_periods * counts)
+    return _group_q(residual_profiles(data, theta) - alpha[idx], idx, counts)
 
 
 def wgfe_objective(
@@ -378,12 +436,8 @@ def gfe_objective(
     alpha = np.asarray(alpha, dtype=float)
     resid = residual_profiles(data, theta) - alpha[idx]
     value = float(np.sum(resid * resid)) / (data.n_units * data.n_periods)
-    counts = gamma.counts()
-    per_unit = np.einsum("it,it->i", resid, resid)
-    sums = np.bincount(idx, weights=per_unit, minlength=gamma.n_groups)
     with np.errstate(invalid="ignore", divide="ignore"):
-        q = sums / (data.n_periods * counts)
-    q[counts == 0] = np.nan
+        q = _group_q(resid, idx, gamma.counts())
     return ObjectiveBreakdown(q, gamma.weights(), value)
 
 
@@ -397,6 +451,23 @@ def _profile_distances(
     v = residual_profiles(data, theta)
     diff = v[:, None, :] - alpha[None, :, :]
     return np.einsum("igt,igt->ig", diff, diff)
+
+
+def _assignment_criterion(data, theta, alpha, sigma=None, rule="alg1"):
+    """Per-unit, per-group assignment criterion values as an (N, G) matrix.
+
+    Without ``sigma`` this is the squared profile distance d2; with it, the
+    scale-aware value d2 / sigma_g + sigma_g, divided by T for ``eq6``.
+    """
+    d2 = _profile_distances(data, theta, alpha)
+    if sigma is None:
+        return d2
+    if sigma.shape != (d2.shape[1],):
+        raise ValueError("sigma must have one entry per group")
+    crit = d2 / sigma + sigma
+    if rule == "eq6":
+        crit = crit / data.n_periods
+    return crit
 
 
 def wgfe_assign(
@@ -419,23 +490,16 @@ def wgfe_assign(
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if not np.all(sigma > 0):
         raise ValueError("sigma must be strictly positive")
-    d2 = _profile_distances(data, theta, alpha)
-    if sigma.shape != (d2.shape[1],):
-        raise ValueError("sigma must have one entry per group")
-    crit = d2 / sigma + sigma
-    if rule == "eq6":
-        crit = crit / data.n_periods
-    labels = np.argmin(crit, axis=1) + 1
-    return GroupAssignment(labels, d2.shape[1])
+    crit = _assignment_criterion(data, theta, alpha, sigma, rule)
+    return GroupAssignment(np.argmin(crit, axis=1) + 1, crit.shape[1])
 
 
 def gfe_assign(
     data: PanelDataset, theta: np.ndarray, alpha: np.ndarray
 ) -> GroupAssignment:
     """Nearest-profile assignment: each unit to argmin_g ||v_i - alpha_g||^2."""
-    d2 = _profile_distances(data, theta, alpha)
-    labels = np.argmin(d2, axis=1) + 1
-    return GroupAssignment(labels, d2.shape[1])
+    d2 = _assignment_criterion(data, theta, alpha)
+    return GroupAssignment(np.argmin(d2, axis=1) + 1, d2.shape[1])
 
 
 def update_alpha(
@@ -470,19 +534,16 @@ def gfe_update(data: PanelDataset, gamma: GroupAssignment):
     SingularDesignError
         If the demeaned Gram matrix is numerically rank deficient.
     """
-    means = within_group_means(data, gamma)
-    if means.empty:
-        raise EmptyGroupError(means.empty)
+    idx = _group_index(data, gamma)
+    counts = gamma.counts()
+    if np.any(counts == 0):
+        raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
     p = data.n_covariates
     if p == 0:
-        return np.zeros(0), means.outcomes
-    idx = _group_index(data, gamma)
-    xt = data.covariates - means.covariates[idx]
-    yt = data.outcomes - means.outcomes[idx]
-    gram = np.einsum("itp,itq->pq", xt, xt)
-    _check_rank(gram, p)
-    theta = np.linalg.solve(gram, np.einsum("itp,it->p", xt, yt))
-    return theta, means.outcomes - means.covariates @ theta
+        return np.zeros(0), _group_means(data, idx, counts)[0]
+    ybar, xbar, yt, xt = _demean_by_group(data, idx, counts)
+    theta = _least_squares(xt.reshape(-1, p), yt.ravel())
+    return theta, ybar - xbar @ theta
 
 
 def _check_rank(gram: np.ndarray, p: int) -> None:

@@ -18,7 +18,13 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import chi2, norm
 
 from .errors import GroupCountMismatchError, WgfeError
-from .model import GroupAssignment, GroupParameters, PanelDataset
+from .model import (
+    GroupAssignment,
+    GroupParameters,
+    PanelDataset,
+    _least_squares,
+    _two_way_demeaned,
+)
 from .solvers import SolverConfig, multi_start
 
 logger = logging.getLogger(__name__)
@@ -105,7 +111,6 @@ class SimulationSpec:
     covariate_law: Optional[CovariateLaw] = None
     dynamic: bool = False
     error_law: str = "gaussian_grouped"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_units < 1 or self.n_periods < 1 or self.n_groups < 1:
@@ -320,21 +325,14 @@ STUDY_ESTIMATORS = ("wgfe", "gfe", "two_way_fe")
 
 
 def _two_way_theta(data: PanelDataset) -> np.ndarray:
-    """Pooled slopes after demeaning in both the unit and period directions."""
-    p = data.n_covariates
-    if p == 0:
+    """Pooled slopes after demeaning in both the unit and period directions.
+
+    Raises ``SingularDesignError`` on a rank-deficient design.
+    """
+    if data.n_covariates == 0:
         return np.zeros(0)
-    y = data.outcomes
-    x = data.covariates
-    ydd = y - y.mean(axis=0) - y.mean(axis=1, keepdims=True) + y.mean()
-    xdd = (
-        x
-        - x.mean(axis=0)
-        - x.mean(axis=1, keepdims=True)
-        + x.mean(axis=(0, 1), keepdims=True)
-    )
-    xm = xdd.reshape(-1, p)
-    return np.linalg.solve(xm.T @ xm, xm.T @ ydd.ravel())
+    y, x = _two_way_demeaned(data)
+    return _least_squares(x, y)
 
 
 def _study_solver_config(mode, n_groups, seed, base: Optional[SolverConfig]):

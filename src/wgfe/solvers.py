@@ -16,19 +16,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyGroupError, NonConvergenceError
+from .errors import EmptyGroupError, NonConvergenceError, SingularDesignError, WgfeError
 from .model import (
     GroupAssignment,
     GroupParameters,
     ObjectiveBreakdown,
     PanelDataset,
-    _check_rank,
+    _assignment_criterion,
+    _clamped_sigma,
+    _demean_by_group,
+    _group_index,
+    _group_means,
+    _group_q,
+    _least_squares,
     _profile_distances,
-    gfe_update,
-    group_ssr,
+    _two_way_demeaned,
     residual_profiles,
     sigma_floor,
-    within_group_means,
 )
 
 __all__ = [
@@ -139,10 +143,6 @@ class _InitState(NamedTuple):
     sigma: np.ndarray
 
 
-def _clamped_sigma(data, q):
-    return np.maximum(np.sqrt(q), sigma_floor(data))
-
-
 def solve_theta_fixed_point(
     data: PanelDataset,
     gamma: GroupAssignment,
@@ -161,7 +161,8 @@ def solve_theta_fixed_point(
         theta = [sum 1/sigma_{g_i} xt xt']^{-1} sum 1/sigma_{g_i} xt yt
 
     in group-demeaned variables.  Iterates until the relative slope change
-    falls below ``tol``.
+    falls below ``tol``.  This is the update the searches run at every
+    candidate grouping.
 
     Returns
     -------
@@ -178,51 +179,11 @@ def solve_theta_fixed_point(
         If ``max_iters`` is exhausted; carries the last iterate and the
         stationarity residual.
     """
-    means = within_group_means(data, gamma)
-    if means.empty:
-        raise EmptyGroupError(means.empty)
-    p = data.n_covariates
-    if p == 0:
-        alpha = means.outcomes
-        sigma = _clamped_sigma(data, group_ssr(data, np.zeros(0), alpha, gamma))
-        return np.zeros(0), alpha, sigma
-
-    idx = gamma.labels - 1
-    xt = data.covariates - means.covariates[idx]
-    yt = data.outcomes - means.outcomes[idx]
-
-    def weighted_ls(sigma):
-        w = 1.0 / sigma[idx]
-        gram = np.einsum("i,itp,itq->pq", w, xt, xt)
-        _check_rank(gram, p)
-        return np.linalg.solve(gram, np.einsum("i,itp,it->p", w, xt, yt))
-
-    if theta_init is None:
-        theta = gfe_update(data, gamma)[0]
-    else:
-        theta = np.atleast_1d(np.asarray(theta_init, dtype=float))
-
-    converged = False
-    for _ in range(max_iters):
-        alpha = means.outcomes - means.covariates @ theta
-        sigma = _clamped_sigma(data, group_ssr(data, theta, alpha, gamma))
-        theta_new = weighted_ls(sigma)
-        step = np.linalg.norm(theta_new - theta)
-        theta = theta_new
-        if step <= tol * (1.0 + np.linalg.norm(theta)):
-            converged = True
-            break
-
-    alpha = means.outcomes - means.covariates @ theta
-    sigma = _clamped_sigma(data, group_ssr(data, theta, alpha, gamma))
-    residual = np.linalg.norm(weighted_ls(sigma) - theta)
-    if not converged or residual > 10.0 * tol * (1.0 + np.linalg.norm(theta)):
-        raise NonConvergenceError(
-            f"slope fixed point stalled (residual {residual:.3e} after {max_iters} iterations)",
-            last_iterate=(theta, alpha, sigma),
-            residual=residual,
-        )
-    return theta, alpha, sigma
+    _group_index(data, gamma)
+    if theta_init is not None:
+        theta_init = np.atleast_1d(np.asarray(theta_init, dtype=float))
+    config = SolverConfig(mode="wgfe", fp_tol=tol, fp_max_iters=max_iters)
+    return _fit_raw(data, gamma, config, theta_init)[:3]
 
 
 def _fit_raw(data, gamma, config, theta_seed=None):
@@ -233,71 +194,53 @@ def _fit_raw(data, gamma, config, theta_seed=None):
     Returns ``(theta, alpha, sigma, q, value)`` without building the result
     containers; raises like :func:`solve_theta_fixed_point`.
     """
-    counts = np.bincount(gamma.labels - 1, minlength=gamma.n_groups)
+    idx = gamma.labels - 1
+    counts = np.bincount(idx, minlength=gamma.n_groups)
     if np.any(counts == 0):
         raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
-    idx = gamma.labels - 1
     n, t, p = data.n_units, data.n_periods, data.n_covariates
     y = data.outcomes
     x = data.covariates
-    ybar = np.zeros((gamma.n_groups, t))
-    np.add.at(ybar, idx, y)
-    ybar /= counts[:, None]
     if p:
-        xbar = np.zeros((gamma.n_groups, t, p))
-        np.add.at(xbar, idx, x)
-        xbar /= counts[:, None, None]
-        xt = (x - xbar[idx]).reshape(n * t, p)
-        yt = (y - ybar[idx]).ravel()
+        ybar, xbar, yt, xt = _demean_by_group(data, idx, counts)
+        xt = xt.reshape(n * t, p)
+        yt = yt.ravel()
+    else:
+        ybar, xbar = _group_means(data, idx, counts)
     floor = sigma_floor(data)
 
     def group_q(theta):
         alpha = ybar - xbar @ theta if p else ybar
         resid = (y - x @ theta if p else y) - alpha[idx]
-        per_unit = np.einsum("it,it->i", resid, resid)
-        q = np.bincount(idx, weights=per_unit, minlength=gamma.n_groups)
-        q /= t * counts
-        return alpha, q
+        return alpha, _group_q(resid, idx, counts)
 
     if p == 0 or config.mode == "gfe":
-        if p == 0:
-            theta = np.zeros(0)
-        else:
-            gram = xt.T @ xt
-            _check_rank(gram, p)
-            theta = np.linalg.solve(gram, xt.T @ yt)
+        theta = _least_squares(xt, yt) if p else np.zeros(0)
         alpha, q = group_q(theta)
-        sigma = np.maximum(np.sqrt(q), floor)
         w = counts / n
         value = float(w @ q) if config.mode == "gfe" else float(w @ np.sqrt(q))
-        return theta, alpha, sigma, q, value
+        return theta, alpha, _clamped_sigma(q, floor), q, value
 
     def weighted_ls(sigma):
         wobs = np.repeat(1.0 / sigma[idx], t)
-        xtw = xt * wobs[:, None]
-        gram = xt.T @ xtw
-        _check_rank(gram, p)
-        return np.linalg.solve(gram, xtw.T @ yt)
+        return _least_squares(xt, yt, xt * wobs[:, None])
 
     if theta_seed is None:
-        gram = xt.T @ xt
-        _check_rank(gram, p)
-        theta = np.linalg.solve(gram, xt.T @ yt)
+        theta = _least_squares(xt, yt)
     else:
         theta = np.asarray(theta_seed, dtype=float)
     tol = config.fp_tol
     converged = False
     for _ in range(config.fp_max_iters):
         _, q = group_q(theta)
-        sigma = np.maximum(np.sqrt(q), floor)
-        theta_new = weighted_ls(sigma)
+        theta_new = weighted_ls(_clamped_sigma(q, floor))
         step = np.linalg.norm(theta_new - theta)
         theta = theta_new
         if step <= tol * (1.0 + np.linalg.norm(theta)):
             converged = True
             break
     alpha, q = group_q(theta)
-    sigma = np.maximum(np.sqrt(q), floor)
+    sigma = _clamped_sigma(q, floor)
     residual = np.linalg.norm(weighted_ls(sigma) - theta)
     if not converged or residual > 10.0 * tol * (1.0 + np.linalg.norm(theta)):
         raise NonConvergenceError(
@@ -316,19 +259,14 @@ def _fit_at_assignment(data, gamma, config, theta_seed=None):
     return params, ObjectiveBreakdown(q, params.weights, value)
 
 
-def _criterion_matrix(data, theta, alpha, sigma, config):
-    """Per-unit, per-group assignment criterion values, (N, G)."""
-    d2 = _profile_distances(data, theta, alpha)
-    if config.mode == "gfe":
-        return d2
-    crit = d2 / sigma + sigma
-    if config.assignment_rule == "eq6":
-        crit = crit / data.n_periods
-    return crit
-
-
 def _assign(data, theta, alpha, sigma, config):
-    crit = _criterion_matrix(data, theta, alpha, sigma, config)
+    crit = _assignment_criterion(
+        data,
+        theta,
+        alpha,
+        None if config.mode == "gfe" else sigma,
+        config.assignment_rule,
+    )
     return GroupAssignment(np.argmin(crit, axis=1) + 1, alpha.shape[0]), crit
 
 
@@ -384,19 +322,13 @@ def initialize(
     rows = rng.choice(n, size=g, replace=False)
     alpha = v[rows].copy()
     d2 = _profile_distances(data, theta, alpha)
-    labels = np.argmin(d2, axis=1) + 1
-    gamma = GroupAssignment(labels, g)
-    counts = gamma.counts()
-    idx = gamma.labels - 1
+    idx = np.argmin(d2, axis=1)
+    counts = np.bincount(idx, minlength=g)
     resid = v - alpha[idx]
-    per_unit = np.einsum("it,it->i", resid, resid)
-    sums = np.bincount(idx, weights=per_unit, minlength=g)
-    pooled = per_unit.sum() / (n * data.n_periods)
     with np.errstate(invalid="ignore", divide="ignore"):
-        q = sums / (data.n_periods * counts)
-    q = np.where(counts > 0, q, pooled)
-    sigma = _clamped_sigma(data, q)
-    return GroupParameters(theta, alpha, sigma, counts / n)
+        q = _group_q(resid, idx, counts)
+    q = np.where(counts > 0, q, np.mean(resid * resid))
+    return GroupParameters(theta, alpha, _clamped_sigma(q, sigma_floor(data)), counts / n)
 
 
 def _initial_theta(data, strategy, rng):
@@ -406,31 +338,16 @@ def _initial_theta(data, strategy, rng):
     if strategy == "random":
         return rng.standard_normal(p)
     if strategy == "pooled_ols":
-        x = data.covariates.reshape(-1, p)
-        y = data.outcomes.ravel()
+        y, x = data.outcomes.ravel(), data.covariates.reshape(-1, p)
     else:  # two_way_fe
-        y2 = data.outcomes
-        x2 = data.covariates
-        y = (
-            y2
-            - y2.mean(axis=0, keepdims=True)
-            - y2.mean(axis=1, keepdims=True)
-            + y2.mean()
-        ).ravel()
-        x = (
-            x2
-            - x2.mean(axis=0, keepdims=True)
-            - x2.mean(axis=1, keepdims=True)
-            + x2.mean(axis=(0, 1), keepdims=True)
-        ).reshape(-1, p)
-    gram = x.T @ x
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-10 * np.trace(gram) / p:
+        y, x = _two_way_demeaned(data)
+    try:
+        return _least_squares(x, y)
+    except SingularDesignError:
         warnings.warn(
             f"{strategy} start is singular, falling back to zero slopes", stacklevel=3
         )
         return np.zeros(p)
-    return np.linalg.solve(gram, x.T @ y)
 
 
 def lloyd(
@@ -448,8 +365,13 @@ def lloyd(
     at those parameters.
 
     The scale-aware rule is not an exact descent step on the weighted
-    criterion (its scale penalty outweighs the criterion's single-move
-    marginal by a factor of T), so on rare instances the objective rises for
+    criterion.  At fixed slopes and effects, moving one unit from group s to
+    group h changes the criterion by about
+
+        (d_h / sigma_h + T sigma_h - d_s / sigma_s - T sigma_s) / (2 N T),
+
+    with d the unit's squared profile distance, so the rule's scale penalty
+    is T times smaller than the criterion's, and the objective can rise for
     a step or two before settling.  ``trace`` therefore reports the final
     descent stretch, from the last such rise to the fixed point, and is
     non-increasing by construction; ``n_lloyd_iters`` counts every round.
@@ -636,15 +558,17 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
 
     Restart k draws from substream k of ``config.seed``, so the selected
     result is identical whether restarts run serially or on a thread pool.
-    Ties in the objective go to the lowest restart index.  Raises only when
-    every restart fails.
+    Ties in the objective go to the lowest restart index.  A restart that
+    raises a package error or a linear-algebra failure is skipped; any other
+    exception propagates.  Raises ``NonConvergenceError`` only when every
+    restart fails.
     """
     streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
 
     def run(k):
         try:
             return vns(data, config, np.random.default_rng(streams[k]))
-        except Exception as exc:  # noqa: BLE001 - aggregated below
+        except (WgfeError, np.linalg.LinAlgError) as exc:
             return exc
 
     if config.n_threads > 1:

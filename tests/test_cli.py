@@ -192,6 +192,14 @@ class TestEstimateCommand:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"]["code"] == "duplicate_cell"
 
+    def test_more_groups_than_units_is_an_input_problem(self, tmp_path, capsys):
+        data, _ = clustered_fixture()
+        panel = write_panel(tmp_path / "panel.csv", data)
+        rc = main(["estimate", panel, "--groups", "13", "--restarts", "1"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "13 units" in err["error"]["message"]
+
 
 class TestSimulateCommand:
     def write_spec(self, tmp_path, **overrides):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wgfe import inference
 from wgfe.inference import (
     GroupSelection,
     HomoskedasticityTest,
@@ -274,6 +275,17 @@ class TestSelectNGroups:
         data = make_dataset(rng, n=3, t=2, p=0)
         with pytest.raises(ValueError, match="g_max"):
             select_n_groups(data, _study_config(), g_max=4)
+
+    def test_programming_error_in_a_candidate_propagates(self, rng, monkeypatch):
+        # only package, linear-algebra and input failures are recorded as rows
+        data = make_dataset(rng, n=8, t=3, p=1)
+
+        def broken_multi_start(data, config):
+            raise TypeError("bug in the search")
+
+        monkeypatch.setattr(inference, "multi_start", broken_multi_start)
+        with pytest.raises(TypeError, match="bug in the search"):
+            select_n_groups(data, _study_config(), g_max=2)
 
     def test_validation(self, rng):
         data = make_dataset(rng, n=6, t=2, p=0)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from wgfe import solvers
 from wgfe.errors import EmptyGroupError, NonConvergenceError
 from wgfe.model import (
     GroupAssignment,
@@ -296,6 +297,40 @@ class TestLloyd:
             lloyd(data, cfg, init)
 
 
+    def test_single_move_marginal_of_weighted_criterion(self, rng):
+        # at fixed slopes and effects, moving unit i from group s to h
+        # changes the weighted criterion by about
+        # (d_h/s_h + T s_h - d_s/s_s - T s_s) / (2NT); the assignment rule's
+        # d/s + s under-weights the scale term by T and misjudges more moves
+        n, t = 400, 6
+        alpha = np.array([np.zeros(t), np.full(t, 0.6)])
+        data, gamma, _ = make_grouped_dataset(
+            rng, n=n, t=t, p=1, g=2, alpha=alpha, sigma=[1.0, 0.3]
+        )
+        theta, alpha, _ = solve_theta_fixed_point(data, gamma)
+        sigma = np.sqrt(group_ssr(data, theta, alpha, gamma))
+        v = residual_profiles(data, theta)
+        d = np.sum((v[:, None, :] - alpha[None, :, :]) ** 2, axis=2)
+        base = wgfe_objective(data, theta, alpha, gamma).value
+        src = gamma.labels - 1
+        dst = 1 - src
+        exact = np.empty(n)
+        for i in range(n):
+            labels = gamma.labels.copy()
+            labels[i] = dst[i] + 1
+            moved = GroupAssignment(labels, 2)
+            exact[i] = wgfe_objective(data, theta, alpha, moved).value - base
+        units = np.arange(n)
+        d_h, d_s = d[units, dst], d[units, src]
+        s_h, s_s = sigma[dst], sigma[src]
+        marginal = (d_h / s_h + t * s_h - d_s / s_s - t * s_s) / (2 * n * t)
+        rule = d_h / s_h + s_h - d_s / s_s - s_s
+        agree = np.mean(np.sign(marginal) == np.sign(exact))
+        assert agree >= 0.99
+        assert np.median(np.abs(marginal - exact) / np.abs(exact)) < 0.02
+        assert np.mean(np.sign(rule) == np.sign(exact)) < agree
+
+
 class TestVns:
     def test_zero_neighborhoods_reduces_to_lloyd(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=18, t=4, p=1, g=2, sigma=[0.3, 0.8])
@@ -366,6 +401,17 @@ class TestMultiStart:
             objs.append(multi_start(data, cfg).objective)
         assert objs[1] <= objs[0] + 1e-15
         assert objs[2] <= objs[1] + 1e-15
+
+    def test_programming_error_in_a_restart_propagates(self, rng, monkeypatch):
+        # only package and linear-algebra failures count as failed restarts
+        data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
+
+        def broken_vns(data, config, rng):
+            raise TypeError("bug in the search")
+
+        monkeypatch.setattr(solvers, "vns", broken_vns)
+        with pytest.raises(TypeError, match="bug in the search"):
+            multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
 
     def test_result_fields(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
