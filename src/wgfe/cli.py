@@ -22,7 +22,6 @@ success, 2 for input problems, 3 for numeric or solver failures.
 import argparse
 import csv
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -322,7 +321,7 @@ def cmd_simulate(args) -> int:
         spec, estimators, args.replications, np.random.default_rng(args.seed)
     )
     payload = {
-        "meta": _meta("simulate", args.seed, args.threads),
+        "meta": _meta("simulate", args.seed, 1),
         "report": {
             "estimators": list(report.estimators),
             "rmse_theta": {k: list(v) for k, v in report.rmse_theta.items()},
@@ -405,14 +404,14 @@ def _add_solver_flags(sub, with_mode=True):
         "--assignment-rule", choices=("alg1", "eq6"), default="alg1",
         help="scale-aware assignment variant",
     )
+    sub.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads for restarts (default 1)",
+    )
 
 
 def _add_common_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="root random seed")
-    sub.add_argument(
-        "--threads", type=int, default=max(os.cpu_count() or 1, 1),
-        help="worker threads for restarts (default: machine parallelism)",
-    )
     sub.add_argument("--out", default=None, help="JSON output path (default stdout)")
 
 

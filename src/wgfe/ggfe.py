@@ -250,22 +250,22 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     sigs = [c.clamped() for c in covs]
-    omega = np.eye(t)
+    omega = SpdMatrix(np.eye(t))
     residual = np.inf
     for _ in range(max_iters):
-        root = _sqrtm_psd(omega)
+        root = omega.sqrt()
         mean_root = np.zeros((t, t))
         for w, sig in zip(weights, sigs):
             if w > 0.0:
                 mean_root += w * _sqrtm_psd(root @ sig @ root)
-        residual = np.linalg.norm(omega - mean_root) / np.linalg.norm(omega)
+        residual = np.linalg.norm(omega.values - mean_root) / np.linalg.norm(omega.values)
         if residual < tol:
-            return SpdMatrix(_sym(omega))
-        inv_root = SpdMatrix(_sym(omega)).inv_sqrt()
-        omega = _sym(inv_root @ mean_root @ mean_root @ inv_root)
+            return omega
+        inv_root = omega.inv_sqrt()
+        omega = SpdMatrix(_sym(inv_root @ mean_root @ mean_root @ inv_root))
     raise NonConvergenceError(
         f"barycenter iteration stalled (relative residual {residual:.3e})",
-        last_iterate=omega,
+        last_iterate=omega.values,
         residual=residual,
     )
 
@@ -340,22 +340,20 @@ def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
     return grad
 
 
-def _guarded_objective(data, theta, alpha, gamma, strict):
+def _guarded_objective(data, theta, alpha, gamma):
     """Criterion value at a hard grouping, tolerant of degenerate groups.
 
     A group fitted exactly has a zero covariance; when every group is
-    degenerate the criterion is zero.  In the lenient form used inside the
-    numerical refit, isolated degenerate groups are floored to a small
-    multiple of the identity and barycenter failures score as infinity, so
-    the search can route around them.
+    degenerate the criterion is zero.  Used inside the numerical refit:
+    isolated degenerate groups are floored to a small multiple of the
+    identity and barycenter failures score as infinity, so the search can
+    route around them.
     """
     covs, weights = group_covariances(data, theta, alpha, gamma)
     traces = [c.trace for c in covs]
     top = max(traces)
     if top <= 0.0:
         return 0.0
-    if strict:
-        return barycenter_fixed_point(covs, weights).trace
     t = covs[0].dim
     if min(traces) <= 0.0:
         floor = EPS_EIG * top / t
@@ -377,15 +375,13 @@ def _inner_update(data, gamma, config, theta_seed):
     better of seed and search.
     """
     try:
-        theta0, alpha0, _, _, _ = _fit_raw(data, gamma, config, theta_seed=theta_seed)
+        theta0, alpha0, _, _, _ = _fit_raw(data, gamma.labels, config, theta_seed)
     except NonConvergenceError as exc:
         theta0, alpha0, _ = exc.last_iterate
     p, t, g = data.n_covariates, data.n_periods, gamma.n_groups
 
     def crit(z):
-        return _guarded_objective(
-            data, z[:p], z[p:].reshape(g, t), gamma, strict=False
-        )
+        return _guarded_objective(data, z[:p], z[p:].reshape(g, t), gamma)
 
     z0 = np.concatenate([theta0, alpha0.ravel()])
     f0 = crit(z0)
@@ -424,8 +420,9 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     rng = np.random.default_rng(config.seed)
     init = initialize(data, config, rng)
     d2 = _profile_distances(data, init.theta, init.alpha)
-    gamma = GroupAssignment(np.argmin(d2, axis=1) + 1, config.n_groups)
-    gamma = _repair_empty(gamma, d2)
+    gamma = GroupAssignment(
+        _repair_empty(np.argmin(d2, axis=1) + 1, d2), config.n_groups
+    )
     theta = init.theta
     best = None
     trace = []
@@ -435,7 +432,7 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         n_iters = it + 1
         theta, alpha, value = _inner_update(data, gamma, config, theta_seed=theta)
         if not np.isfinite(value):
-            value = _guarded_objective(data, theta, alpha, gamma, strict=True)
+            value = ggfe_objective(data, theta, alpha, gamma)
         if best is not None and value > best[3] + 1e-12 * (1.0 + abs(best[3])):
             theta, alpha, gamma, value = best
             converged = True
@@ -449,8 +446,9 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         except IllConditionedError:
             converged = True
             break
-        gamma_next = GroupAssignment(np.argmin(grad, axis=1) + 1, config.n_groups)
-        gamma_next = _repair_empty(gamma_next, grad)
+        gamma_next = GroupAssignment(
+            _repair_empty(np.argmin(grad, axis=1) + 1, grad), config.n_groups
+        )
         if gamma_next.same_as(gamma):
             converged = True
             break
@@ -458,4 +456,4 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     theta, alpha, gamma, value = best
     q = group_ssr(data, theta, alpha, gamma)
     state = (theta, alpha, _clamped_sigma(q, sigma_floor(data)), q, value)
-    return _build_result(config, state, gamma, n_iters, converged, tuple(trace))
+    return _build_result(config, state, gamma.labels, n_iters, converged, tuple(trace))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -135,14 +134,6 @@ class EstimationResult:
     trace: tuple
 
 
-class _InitState(NamedTuple):
-    """Internal warm-start triple; avoids container validation in hot loops."""
-
-    theta: np.ndarray
-    alpha: np.ndarray
-    sigma: np.ndarray
-
-
 def solve_theta_fixed_point(
     data: PanelDataset,
     gamma: GroupAssignment,
@@ -182,20 +173,24 @@ def solve_theta_fixed_point(
     _group_index(data, gamma)
     if theta_init is not None:
         theta_init = np.atleast_1d(np.asarray(theta_init, dtype=float))
-    config = SolverConfig(mode="wgfe", fp_tol=tol, fp_max_iters=max_iters)
-    return _fit_raw(data, gamma, config, theta_init)[:3]
+    config = SolverConfig(
+        mode="wgfe", n_groups=gamma.n_groups, fp_tol=tol, fp_max_iters=max_iters
+    )
+    return _fit_raw(data, gamma.labels, config, theta_init)[:3]
 
 
-def _fit_raw(data, gamma, config, theta_seed=None):
+def _fit_raw(data, labels, config, theta_seed=None):
     """One full parameter update at a fixed grouping.
 
+    ``labels`` is a 1-based label array over ``config.n_groups`` groups, the
+    form a grouping takes inside the searches; it is read, never written.
     Shares the group-means computation across the slope solve, the scale
     refresh, and the criterion so the hot loops touch each array once.
     Returns ``(theta, alpha, sigma, q, value)`` without building the result
     containers; raises like :func:`solve_theta_fixed_point`.
     """
-    idx = gamma.labels - 1
-    counts = np.bincount(idx, minlength=gamma.n_groups)
+    idx = labels - 1
+    counts = np.bincount(idx, minlength=config.n_groups)
     if np.any(counts == 0):
         raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
     n, t, p = data.n_units, data.n_periods, data.n_covariates
@@ -252,11 +247,10 @@ def _fit_raw(data, gamma, config, theta_seed=None):
     return theta, alpha, sigma, q, value
 
 
-def _fit_at_assignment(data, gamma, config, theta_seed=None):
-    """One full parameter update at a fixed grouping, with its criterion."""
-    theta, alpha, sigma, q, value = _fit_raw(data, gamma, config, theta_seed)
-    params = GroupParameters(theta, alpha, sigma, gamma.weights())
-    return params, ObjectiveBreakdown(q, params.weights, value)
+def _frozen(labels):
+    """Mark a new search grouping read-only, so no later step edits it in place."""
+    labels.setflags(write=False)
+    return labels
 
 
 def _assign(data, theta, alpha, sigma, config):
@@ -267,21 +261,22 @@ def _assign(data, theta, alpha, sigma, config):
         None if config.mode == "gfe" else sigma,
         config.assignment_rule,
     )
-    return GroupAssignment(np.argmin(crit, axis=1) + 1, alpha.shape[0]), crit
+    return _frozen(np.argmin(crit, axis=1) + 1), crit
 
 
-def _repair_empty(gamma, crit):
+def _repair_empty(labels, crit):
     """Move worst-fit units into empty groups, one per empty group.
 
     The donor is the movable unit whose assigned-group criterion value is
     largest; its residual profile becomes the seed for the empty group once
     parameters are refreshed.  Ascending group order, ties to the lowest
-    unit index.
+    unit index.  ``crit`` has one column per group; ``labels`` is returned
+    as is when no group is empty, else a repaired copy.
     """
-    counts = gamma.counts()
+    counts = np.bincount(labels - 1, minlength=crit.shape[1])
     if not np.any(counts == 0):
-        return gamma
-    labels = gamma.labels.copy()
+        return labels
+    labels = labels.copy()
     n = labels.shape[0]
     for g in np.nonzero(counts == 0)[0] + 1:
         assigned = crit[np.arange(n), labels - 1]
@@ -293,7 +288,7 @@ def _repair_empty(gamma, crit):
         counts[labels[i_star] - 1] -= 1
         labels[i_star] = g
         counts[g - 1] += 1
-    return GroupAssignment(labels, gamma.n_groups)
+    return _frozen(labels)
 
 
 def initialize(
@@ -378,41 +373,44 @@ def lloyd(
     """
     if config.mode not in ("wgfe", "gfe"):
         raise ValueError(f"lloyd handles modes 'wgfe'/'gfe', got {config.mode!r}")
-    state, gamma, trace, n_iters, converged = _lloyd_raw(data, config, init)
-    return _build_result(config, state, gamma, n_iters, converged, trace)
+
+    def fit(labels, seed):
+        return _fit_raw(data, labels, config, seed)
+
+    state, labels, trace, n_iters, converged = _lloyd_raw(
+        data, config, init.theta, init.alpha, init.sigma, fit
+    )
+    return _build_result(config, state, labels, n_iters, converged, trace)
 
 
-def _lloyd_raw(data, config, init, fit=None):
-    if fit is None:
-        fit = lambda gamma, seed: _fit_raw(data, gamma, config, theta_seed=seed)
-    gamma, crit = _assign(data, init.theta, init.alpha, init.sigma, config)
-    gamma = _repair_empty(gamma, crit)
+def _lloyd_raw(data, config, theta, alpha, sigma, fit):
+    labels = _repair_empty(*_assign(data, theta, alpha, sigma, config))
     trace = []
     state = None
     converged = False
     n_iters = 0
     for it in range(config.max_lloyd_iters):
         n_iters = it + 1
-        seed = state[0] if state is not None else init.theta
-        state = fit(gamma, seed)
+        seed = state[0] if state is not None else theta
+        state = fit(labels, seed)
         trace.append(state[4])
-        gamma_next, crit = _assign(data, state[0], state[1], state[2], config)
-        gamma_next = _repair_empty(gamma_next, crit)
-        if gamma_next.same_as(gamma):
+        labels_next = _repair_empty(*_assign(data, *state[:3], config))
+        if np.array_equal(labels_next, labels):
             converged = True
             break
         if it == config.max_lloyd_iters - 1:
             break
-        gamma = gamma_next
+        labels = labels_next
     start = 0
     for i in range(1, len(trace)):
         if trace[i] > trace[i - 1] + 1e-12 * (1.0 + abs(trace[i - 1])):
             start = i
-    return state, gamma, tuple(trace[start:]), n_iters, converged
+    return state, labels, tuple(trace[start:]), n_iters, converged
 
 
-def _build_result(config, state, gamma, n_iters, converged, trace, n_restarts=1):
+def _build_result(config, state, labels, n_iters, converged, trace, n_restarts=1):
     theta, alpha, sigma, q, value = state
+    gamma = GroupAssignment(labels, config.n_groups)
     weights = gamma.weights()
     return EstimationResult(
         params=GroupParameters(theta, alpha, sigma, weights),
@@ -427,17 +425,14 @@ def _build_result(config, state, gamma, n_iters, converged, trace, n_restarts=1)
     )
 
 
-def _jump(gamma, n_moves, rng):
-    """Relocate ``n_moves`` random units to random other groups.
+def _jump(labels, g, n_moves, rng):
+    """Relocate ``n_moves`` random units to random other groups among ``g >= 2``.
 
     Any group emptied by the relocation is refilled with a random unit from
     a group that still has at least two members, so downstream updates stay
-    well defined.
+    well defined.  Returns a new label array.
     """
-    g = gamma.n_groups
-    if g < 2:
-        return gamma
-    labels = gamma.labels.copy()
+    labels = labels.copy()
     n = labels.shape[0]
     movers = rng.choice(n, size=min(n_moves, n), replace=False)
     for i in movers:
@@ -450,23 +445,20 @@ def _jump(gamma, n_moves, rng):
         counts[labels[i] - 1] -= 1
         labels[i] = gg
         counts[gg - 1] += 1
-    return GroupAssignment(labels, g)
+    return _frozen(labels)
 
 
-def _local_search(data, gamma, state, config, max_sweeps=100, fit=None):
+def _local_search(data, labels, state, config, fit, max_sweeps=100):
     """First-improvement single-move search on the mode's objective.
 
     Scans units and target groups in index order; every accepted move
     re-fits parameters exactly.  Repeats sweeps until none improves.
     """
-    if fit is None:
-        fit = lambda cand, seed: _fit_raw(data, cand, config, theta_seed=seed)
     obj = state[4]
     n, g = data.n_units, config.n_groups
     for _ in range(max_sweeps):
         improved = False
-        counts = gamma.counts()
-        labels = gamma.labels
+        counts = np.bincount(labels - 1, minlength=g)
         for i in range(n):
             src = labels[i]
             if counts[src - 1] <= 1:
@@ -474,23 +466,21 @@ def _local_search(data, gamma, state, config, max_sweeps=100, fit=None):
             for h in range(1, g + 1):
                 if h == src:
                     continue
-                cand_labels = labels.copy()
-                cand_labels[i] = h
-                cand = GroupAssignment(cand_labels, g)
+                cand = labels.copy()
+                cand[i] = h
                 try:
-                    cand_state = fit(cand, state[0])
+                    cand_state = fit(_frozen(cand), state[0])
                 except NonConvergenceError:
                     continue
                 if cand_state[4] < obj - 1e-12 * (1.0 + abs(obj)):
-                    gamma, state = cand, cand_state
+                    labels, state = cand, cand_state
                     obj = cand_state[4]
-                    labels = gamma.labels
-                    counts = gamma.counts()
+                    counts = np.bincount(labels - 1, minlength=g)
                     improved = True
                     break
         if not improved:
             break
-    return gamma, state
+    return labels, state
 
 
 def vns(
@@ -504,44 +494,44 @@ def vns(
     and a single-move local search polish the result, and the incumbent is
     replaced whenever the final objective strictly improves on the best
     found so far (resetting n to 1); otherwise n escalates to
-    ``vns_neigh_max``.  With ``vns_neigh_max=0`` this is exactly one Lloyd
-    run.
+    ``vns_neigh_max``.  With ``vns_neigh_max=0``, or a single group (where
+    no jump can move a unit), this is exactly one Lloyd run.
     """
     cache = {}
 
-    def fit(gamma, seed):
+    def fit(labels, seed):
         # partitions recur constantly across jump cycles; the first state
         # computed for a labeling is reused verbatim within this search
-        key = gamma.labels.tobytes()
+        key = labels.tobytes()
         state = cache.get(key)
         if state is None:
-            state = _fit_raw(data, gamma, config, theta_seed=seed)
+            state = _fit_raw(data, labels, config, seed)
             cache[key] = state
         return state
 
     init = initialize(data, config, rng)
-    best_state, best_gamma, _, total_iters, converged = _lloyd_raw(
-        data, config, init, fit
+    best_state, best_labels, _, total_iters, converged = _lloyd_raw(
+        data, config, init.theta, init.alpha, init.sigma, fit
     )
     best_obj = best_state[4]
     improvements = [best_obj]
-    for _ in range(config.vns_iter_max):
+    g = config.n_groups
+    for _ in range(config.vns_iter_max if g > 1 else 0):
         n = 1
         while n <= config.vns_neigh_max:
-            gamma_j = _jump(best_gamma, n, rng)
+            labels_j = _jump(best_labels, g, n, rng)
             try:
-                state_j = fit(gamma_j, best_state[0])
-                init_j = _InitState(state_j[0], state_j[1], state_j[2])
-                state_d, gamma_d, _, iters_d, conv_d = _lloyd_raw(
-                    data, config, init_j, fit
+                state_j = fit(labels_j, best_state[0])
+                state_d, labels_d, _, iters_d, conv_d = _lloyd_raw(
+                    data, config, *state_j[:3], fit
                 )
                 total_iters += iters_d
-                gamma_c, state_c = _local_search(data, gamma_d, state_d, config, fit=fit)
+                labels_c, state_c = _local_search(data, labels_d, state_d, config, fit)
             except NonConvergenceError:
                 n += 1
                 continue
             if state_c[4] < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-                best_gamma, best_state = gamma_c, state_c
+                best_labels, best_state = labels_c, state_c
                 best_obj = state_c[4]
                 converged = converged or conv_d
                 improvements.append(best_obj)
@@ -549,7 +539,7 @@ def vns(
             else:
                 n += 1
     return _build_result(
-        config, best_state, best_gamma, total_iters, converged, tuple(improvements)
+        config, best_state, best_labels, total_iters, converged, tuple(improvements)
     )
 
 

@@ -1,6 +1,7 @@
 """Solvers: slope fixed point, Lloyd iteration, neighborhood search, restarts."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def exhaustive_best(data, cfg):
         if gamma.empty_groups():
             continue
         try:
-            value = _fit_raw(data, gamma, cfg)[4]
+            value = _fit_raw(data, gamma.labels, cfg)[4]
         except NonConvergenceError:
             continue
         best = min(best, value)
@@ -259,7 +260,7 @@ class TestLloyd:
             replay, _ = _assign(
                 data, res.params.theta, res.params.alpha, res.params.sigma, cfg
             )
-            assert replay.same_as(res.assignment)
+            np.testing.assert_array_equal(replay, res.assignment.labels)
 
     def test_single_group_trivial(self, rng):
         data = make_dataset(rng, n=15, t=4, p=1)
@@ -360,6 +361,44 @@ class TestVns:
         cfg = SolverConfig(mode="wgfe", n_groups=2, vns_iter_max=3, vns_neigh_max=5)
         res = vns(data, cfg, np.random.default_rng(0))
         assert res.objective <= exhaustive_best(data, cfg) + 1e-8
+
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe"])
+    def test_single_group_runs_one_lloyd_pass(self, mode, rng):
+        # no jump can move a unit between groups when there is only one
+        data = make_dataset(rng, n=15, t=4, p=1)
+        cfg = SolverConfig(mode=mode, n_groups=1)
+        res = vns(data, cfg, np.random.default_rng(3))
+        one_pass = vns(data, replace(cfg, vns_neigh_max=0), np.random.default_rng(3))
+        assert res.n_lloyd_iters == 1
+        assert res.objective == one_pass.objective
+        np.testing.assert_array_equal(res.params.theta, one_pass.params.theta)
+
+    def test_search_steps_never_write_their_input_labels(self, rng):
+        # each step hands on a read-only array; a write into it would raise
+        data, _, _ = make_grouped_dataset(rng, n=20, t=3, p=1, g=3, sigma=[0.2, 0.5, 1.0])
+        cfg = SolverConfig(mode="wgfe", n_groups=3)
+        labels = np.array([1] * 10 + [2] * 10)  # group 3 is empty
+        labels.setflags(write=False)
+        given = []
+
+        def keep(arr):
+            given.append((arr, arr.copy()))
+            return arr
+
+        repaired = solvers._repair_empty(keep(labels), rng.standard_normal((20, 3)))
+        jumped = solvers._jump(keep(repaired), 3, 5, np.random.default_rng(1))
+        searched, _ = solvers._local_search(
+            data,
+            keep(jumped),
+            _fit_raw(data, jumped, cfg),
+            cfg,
+            lambda lab, seed: _fit_raw(data, lab, cfg, seed),
+        )
+        assert np.bincount(repaired - 1, minlength=3).min() >= 1
+        for arr, copy in given:
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, copy)
+        assert not searched.flags.writeable
 
 
 class TestMultiStart:
