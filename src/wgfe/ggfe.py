@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     EmptyGroupError,
@@ -35,7 +34,7 @@ from .solvers import (
     EstimationResult,
     SolverConfig,
     _build_result,
-    _fit_raw,
+    _Kernel,
     _repair_empty,
     initialize,
 )
@@ -366,22 +365,24 @@ def _guarded_objective(data, theta, alpha, gamma):
         return np.inf
 
 
-def _inner_update(data, gamma, config, theta_seed):
+def _inner_update(data, gamma, kernel, theta_seed):
     """Refit slopes and effects at a fixed grouping.
 
-    Seeds at the scale-weighted update for the grouping, then runs a
-    derivative-free direction-set search (coordinate directions first)
-    capped at ``INNER_EVAL_BUDGET`` criterion evaluations, keeping the
-    better of seed and search.
+    Seeds at the scale-weighted update for the grouping, from the descent's
+    fit ``kernel``, then runs a derivative-free direction-set search
+    (coordinate directions first) capped at ``INNER_EVAL_BUDGET`` criterion
+    evaluations, keeping the better of seed and search.
     """
     try:
-        theta0, alpha0, _, _, _ = _fit_raw(data, gamma.labels, config, theta_seed)
+        theta0, alpha0, _, _, _ = kernel.fit(gamma.labels, theta_seed)
     except NonConvergenceError as exc:
         theta0, alpha0, _ = exc.last_iterate
     p, t, g = data.n_covariates, data.n_periods, gamma.n_groups
 
     def crit(z):
         return _guarded_objective(data, z[:p], z[p:].reshape(g, t), gamma)
+
+    from scipy.optimize import minimize
 
     z0 = np.concatenate([theta0, alpha0.ravel()])
     f0 = crit(z0)
@@ -411,8 +412,9 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     Two guarded stops keep the loop a descent: a round whose refit value
     rises above the incumbent is rolled back and treated as terminal (the
     derivative step is linearized, so it can overshoot), and a grouping
-    whose covariances are too degenerate for a stable derivative (near-zero
-    residuals, groups smaller than T) ends the search at the incumbent.
+    whose covariances are too degenerate for a stable derivative (zero or
+    near-zero residuals, groups smaller than T) ends the search at the
+    incumbent.
     ``trace`` records the refit value per round and is non-increasing.
     """
     if config.mode != "ggfe":
@@ -424,13 +426,14 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         _repair_empty(np.argmin(d2, axis=1) + 1, d2), config.n_groups
     )
     theta = init.theta
+    kernel = _Kernel(data, config)
     best = None
     trace = []
     converged = False
     n_iters = 0
     for it in range(config.max_lloyd_iters):
         n_iters = it + 1
-        theta, alpha, value = _inner_update(data, gamma, config, theta_seed=theta)
+        theta, alpha, value = _inner_update(data, gamma, kernel, theta_seed=theta)
         if not np.isfinite(value):
             value = ggfe_objective(data, theta, alpha, gamma)
         if best is not None and value > best[3] + 1e-12 * (1.0 + abs(best[3])):
@@ -443,7 +446,8 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
             grad = assignment_gradient(
                 data, theta, alpha, SoftAssignment.from_hard(gamma)
             )
-        except IllConditionedError:
+        except (IllConditionedError, NonSpdError):
+            # an exactly fitted group has a zero covariance and no derivative
             converged = True
             break
         gamma_next = GroupAssignment(

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import chi2, norm
 
 from .errors import GroupCountMismatchError, WgfeError
 from .model import (
@@ -224,6 +222,8 @@ def misclassification_rate(estimated: GroupAssignment, truth: GroupAssignment):
                 best_perm, best_hits = perm, hits
         perm = best_perm
     else:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-confusion)
         order = np.argsort(rows)
         perm = tuple(int(c) for c in cols[order])
@@ -282,6 +282,8 @@ def simple_case_misclass(
     gfe_rate = float(np.mean(other < own))
     exact = normal_approx = None
     if np.allclose(a1, a2, rtol=0.0, atol=0.0):
+        from scipy.stats import chi2, norm
+
         z = (sigma1 * sigma2 - t) / np.sqrt(2.0 * t)
         if sigma1 == sigma2:
             exact = 0.0

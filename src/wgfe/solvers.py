@@ -23,12 +23,13 @@ from .model import (
     PanelDataset,
     _assignment_criterion,
     _clamped_sigma,
-    _demean_by_group,
     _group_index,
-    _group_means,
     _group_q,
     _least_squares,
     _profile_distances,
+    _rank_deficient,
+    _singular_design,
+    _solve_normal,
     _two_way_demeaned,
     residual_profiles,
     sigma_floor,
@@ -153,7 +154,9 @@ def solve_theta_fixed_point(
 
     in group-demeaned variables.  Iterates until the relative slope change
     falls below ``tol``.  This is the update the searches run at every
-    candidate grouping.
+    candidate grouping, computed from per-group sufficient statistics (see
+    ``_Kernel``); it agrees with the direct computation on the panel to
+    rounding.
 
     Returns
     -------
@@ -176,75 +179,203 @@ def solve_theta_fixed_point(
     config = SolverConfig(
         mode="wgfe", n_groups=gamma.n_groups, fp_tol=tol, fp_max_iters=max_iters
     )
-    return _fit_raw(data, gamma.labels, config, theta_init)[:3]
+    return _Kernel(data, config).fit(gamma.labels, theta_init)[:3]
 
 
-def _fit_raw(data, labels, config, theta_seed=None):
-    """One full parameter update at a fixed grouping.
+#: A Q_g below this share of a bound on the magnitudes that cancel in it is
+#: rounding noise of its sufficient-statistics form, and reads as 0.  Exact
+#: fits of up to 5000 units left noise below 7e-14 of that bound.
+_Q_ROUNDING = 2.0**12 * np.finfo(float).eps
 
-    ``labels`` is a 1-based label array over ``config.n_groups`` groups, the
-    form a grouping takes inside the searches; it is read, never written.
-    Shares the group-means computation across the slope solve, the scale
-    refresh, and the criterion so the hot loops touch each array once.
-    Returns ``(theta, alpha, sigma, q, value)`` without building the result
-    containers; raises like :func:`solve_theta_fixed_point`.
+#: Seed of the random codes that key labelings in a search's caches.
+_KEY_SEED = 20231
+
+#: Most single moves the local search fits in one batched fixed point
+#: (whole units at a time, so at least one unit's moves).
+_MOVE_BATCH = 256
+
+
+class _Kernel:
+    """The parameter update at a fixed grouping, from per-group sufficient statistics.
+
+    Built once per search.  Outcomes and covariates are stacked as
+    z = (y, x), of shape (N, T, 1 + p), and centred by their period means,
+    so that shifts of the data never cancel.  Each unit contributes its
+    centred path and its cross products sum_t z_it z_it'.  A grouping
+    enters only through their sums over each group's members (and the group
+    counts n_g), which give the group means and the within-group cross
+    products
+
+        M_g = sum_{i in g} sum_t z_it z_it' - n_g sum_t zbar_gt zbar_gt'.
+
+    With v = (1, -theta), Q_g(theta) = v' M_g v / (T n_g); the weighted
+    normal equations are sum_g M_g[x, x] / sigma_g and
+    sum_g M_g[x, y] / sigma_g.  The slope fixed point therefore runs on G
+    small matrices and never touches the (N, T) arrays, and moving one unit
+    adds its row to one group's sums and takes it from another's
+    (:meth:`fit_moves`), so a whole neighbourhood is fitted in one batch.
     """
-    idx = labels - 1
-    counts = np.bincount(idx, minlength=config.n_groups)
-    if np.any(counts == 0):
-        raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
-    n, t, p = data.n_units, data.n_periods, data.n_covariates
-    y = data.outcomes
-    x = data.covariates
-    if p:
-        ybar, xbar, yt, xt = _demean_by_group(data, idx, counts)
-        xt = xt.reshape(n * t, p)
-        yt = yt.ravel()
-    else:
-        ybar, xbar = _group_means(data, idx, counts)
-    floor = sigma_floor(data)
 
-    def group_q(theta):
-        alpha = ybar - xbar @ theta if p else ybar
-        resid = (y - x @ theta if p else y) - alpha[idx]
-        return alpha, _group_q(resid, idx, counts)
+    def __init__(self, data, config):
+        self.config = config
+        self.n_groups = config.n_groups
+        z = np.concatenate([data.outcomes[:, :, None], data.covariates], axis=2)
+        n, t, a = z.shape
+        self.centre = z.mean(axis=0)
+        z = z - self.centre
+        cross = np.einsum("ita,itb->iab", z, z)
+        self.units = np.concatenate([z.reshape(n, t * a), cross.reshape(n, a * a)], axis=1)
+        self.floor = sigma_floor(data)
 
-    if p == 0 or config.mode == "gfe":
-        theta = _least_squares(xt, yt) if p else np.zeros(0)
-        alpha, q = group_q(theta)
-        w = counts / n
-        value = float(w @ q) if config.mode == "gfe" else float(w @ np.sqrt(q))
-        return theta, alpha, _clamped_sigma(q, floor), q, value
+    def stats(self, labels):
+        """Counts (G,) and the member sums of the unit rows (G, T (1 + p) + (1 + p)^2).
 
-    def weighted_ls(sigma):
-        wobs = np.repeat(1.0 / sigma[idx], t)
-        return _least_squares(xt, yt, xt * wobs[:, None])
+        ``labels`` is a 1-based label array, read and never written.
+        """
+        idx = labels - 1
+        g = self.n_groups
+        counts = np.bincount(idx, minlength=g)
+        if np.any(counts == 0):
+            raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
+        members = (idx == np.arange(g)[:, None]).astype(float)
+        return counts, members @ self.units
 
-    if theta_seed is None:
-        theta = _least_squares(xt, yt)
-    else:
-        theta = np.asarray(theta_seed, dtype=float)
-    tol = config.fp_tol
-    converged = False
-    for _ in range(config.fp_max_iters):
-        _, q = group_q(theta)
-        theta_new = weighted_ls(_clamped_sigma(q, floor))
-        step = np.linalg.norm(theta_new - theta)
-        theta = theta_new
-        if step <= tol * (1.0 + np.linalg.norm(theta)):
-            converged = True
-            break
-    alpha, q = group_q(theta)
-    sigma = _clamped_sigma(q, floor)
-    residual = np.linalg.norm(weighted_ls(sigma) - theta)
-    if not converged or residual > 10.0 * tol * (1.0 + np.linalg.norm(theta)):
-        raise NonConvergenceError(
-            f"slope fixed point stalled (residual {residual:.3e})",
-            last_iterate=(theta, alpha, sigma),
-            residual=residual,
-        )
-    value = float((counts / n) @ np.sqrt(q))
-    return theta, alpha, sigma, q, value
+    def fit(self, labels, seed=None):
+        """The update at one grouping, as ``(theta, alpha, sigma, q, value)``.
+
+        Raises like :func:`solve_theta_fixed_point`, and
+        ``SingularDesignError`` on a rank-deficient weighted design.
+        """
+        counts, sums = self.stats(labels)
+        seeds = None if seed is None else np.asarray(seed, dtype=float)[None]
+        out = self._solve(counts[None], sums[None], seeds)[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def fit_moves(self, labels, seed, units, targets):
+        """The update at each grouping one move away from ``labels``.
+
+        Move k sends unit ``units[k]`` to group ``targets[k]``; its source
+        group must keep a member.  Every fit is seeded at ``seed``.  Returns
+        one outcome per move: its state, or the exception its fit raised.
+        """
+        counts, sums = self.stats(labels)
+        k = units.shape[0]
+        rows = np.arange(k)
+        src, dst = labels[units] - 1, targets - 1
+        counts = np.repeat(counts[None], k, axis=0)
+        counts[rows, src] -= 1
+        counts[rows, dst] += 1
+        sums = np.repeat(sums[None], k, axis=0)
+        sums[rows, src] -= self.units[units]
+        sums[rows, dst] += self.units[units]
+        seeds = np.repeat(np.asarray(seed, dtype=float)[None], k, axis=0)
+        return self._solve(counts, sums, seeds)
+
+    def _solve(self, counts, sums, seeds):
+        """The update at K groupings from their stacked statistics.
+
+        Successive substitution, as documented at
+        :func:`solve_theta_fixed_point`, on all K at once; a grouping's
+        slopes stop moving once its own step is small.  Returns one outcome
+        per grouping: a state, or the exception its fit raised.
+        """
+        config = self.config
+        k, g = counts.shape
+        t, a = self.centre.shape
+        aa = a * a
+        tol = config.fp_tol
+        path = sums[..., : t * a].reshape(k, g, t, a)
+        raw = sums[..., t * a :].reshape(k, g, aa)
+        outer = np.einsum("kgta,kgtb->kgab", path, path).reshape(k, g, aa)
+        cross = raw - outer / counts[..., None]
+        # a lone member has no spread about its own mean
+        cross[counts == 1] = 0.0
+        means = path / counts[..., None, None] + self.centre
+        # Q_g = v' M_g v / (T n_g) with v = (1, -theta); the same form in |v|
+        # over the outer product of sqrt(diag) of the raw sums bounds the
+        # magnitudes that cancel in it (Cauchy-Schwarz)
+        root = np.sqrt(np.maximum(raw[..., :: a + 1], 0.0))
+        bound = _Q_ROUNDING * (root[..., :, None] * root[..., None, :]).reshape(k, g, aa)
+        forms = np.concatenate([cross, bound], axis=2) / (t * counts)[..., None]
+        pairs = np.zeros((k, 2 * aa, 2))
+        v = np.ones((k, a))
+        # rows whose weighted design was singular, with its smallest eigenvalue
+        failed = np.zeros(k, dtype=bool)
+        min_eigs = np.zeros(k)
+
+        def group_q(theta):
+            v[:, 1:] = -theta
+            vv = (v[:, :, None] * v[:, None, :]).reshape(k, aa)
+            pairs[:, :aa, 0] = vv
+            np.abs(vv, out=pairs[:, aa:, 1])
+            q_and_bound = forms @ pairs
+            q = q_and_bound[..., 0]
+            return np.where(q > q_and_bound[..., 1], q, 0.0)
+
+        def least_squares(weights, rows):
+            # slopes at the weights; rows with a singular design fail
+            both = (weights[:, None, :] @ cross).reshape(k, a, a)
+            gram = both[:, 1:, 1:]
+            deficient, min_eig = _rank_deficient(gram)
+            if deficient.any():
+                newly = deficient & rows & ~failed
+                failed[newly] = True
+                min_eigs[newly] = min_eig[newly]
+                gram = np.where(deficient[:, None, None], np.eye(a - 1), gram)
+            return _solve_normal(gram, both[:, 1:, 0])
+
+        def norm(b):
+            return np.hypot.reduce(b, axis=1)
+
+        weighted = a > 1 and config.mode != "gfe"
+        theta = np.zeros((k, a - 1))
+        if a > 1 and (seeds is None or not weighted):
+            theta = least_squares(np.ones((k, g)), ~failed)
+        elif a > 1:
+            theta = seeds.copy()
+        converged = np.full(k, not weighted)
+        if weighted:
+            active = ~failed
+            for _ in range(config.fp_max_iters):
+                if not active.any():
+                    break
+                sigma = _clamped_sigma(group_q(theta), self.floor)
+                step_to = least_squares(1.0 / sigma, active)
+                active &= ~failed
+                done = norm(step_to - theta) <= tol * (1.0 + norm(step_to))
+                theta = np.where(active[:, None], step_to, theta)
+                converged |= active & done
+                active &= ~done
+        q = group_q(theta)
+        sigma = _clamped_sigma(q, self.floor)
+        alpha = means[..., 0] - np.einsum("kgta,ka->kgt", means[..., 1:], theta)
+        weights = counts / self.units.shape[0]
+        if config.mode == "gfe":
+            values = np.einsum("kg,kg->k", weights, q)
+        else:
+            values = np.einsum("kg,kg->k", weights, np.sqrt(q))
+        residual = np.zeros(k)
+        stalled = np.zeros(k, dtype=bool)
+        if weighted:
+            residual = norm(least_squares(1.0 / sigma, ~failed) - theta)
+            stalled = ~converged | (residual > 10.0 * tol * (1.0 + norm(theta)))
+        outcomes = []
+        for r in range(k):
+            if failed[r]:
+                outcomes.append(_singular_design(min_eigs[r]))
+            elif stalled[r]:
+                outcomes.append(
+                    NonConvergenceError(
+                        f"slope fixed point stalled (residual {residual[r]:.3e})",
+                        last_iterate=(theta[r], alpha[r], sigma[r]),
+                        residual=residual[r],
+                    )
+                )
+            else:
+                outcomes.append((theta[r], alpha[r], sigma[r], q[r], float(values[r])))
+        return outcomes
 
 
 def _frozen(labels):
@@ -374,11 +505,8 @@ def lloyd(
     if config.mode not in ("wgfe", "gfe"):
         raise ValueError(f"lloyd handles modes 'wgfe'/'gfe', got {config.mode!r}")
 
-    def fit(labels, seed):
-        return _fit_raw(data, labels, config, seed)
-
     state, labels, trace, n_iters, converged = _lloyd_raw(
-        data, config, init.theta, init.alpha, init.sigma, fit
+        data, config, init.theta, init.alpha, init.sigma, _Kernel(data, config).fit
     )
     return _build_result(config, state, labels, n_iters, converged, trace)
 
@@ -448,35 +576,118 @@ def _jump(labels, g, n_moves, rng):
     return _frozen(labels)
 
 
-def _local_search(data, labels, state, config, fit, max_sweeps=100):
+class _Search(_Kernel):
+    """The kernel of one :func:`vns` run, with its partition caches.
+
+    Partitions recur constantly across jump cycles.  ``states`` keeps the
+    first state fitted for a labeling, which :meth:`fit` then returns
+    verbatim.  ``values`` keeps the objective of each single move that a
+    local-search batch fitted; a batch updates the statistics of the
+    grouping it starts from, so its numbers carry the rounding of that path,
+    and any state the search keeps is refitted from the labeling itself.
+
+    Labelings are keyed by a 128-bit Zobrist hash: two independent random
+    64-bit codes per (unit, group), XORed over the units.  A single move
+    changes a key by two codes, so a neighbourhood is keyed without building
+    its labelings; among a billion labelings the chance of any two keys
+    colliding is below 1e-20.
+    """
+
+    def __init__(self, data, config):
+        super().__init__(data, config)
+        top = np.iinfo(np.uint64).max
+        # a fixed stream, apart from the search's own random numbers
+        self.codes = np.random.default_rng(_KEY_SEED).integers(
+            top, size=(2, data.n_units, config.n_groups), dtype=np.uint64, endpoint=True
+        )
+        self.states = {}
+        self.values = {}
+
+    def key(self, labels):
+        """The key of a 1-based label array."""
+        units = np.arange(labels.shape[0])
+        hi, lo = np.bitwise_xor.reduce(self.codes[:, units, labels - 1], axis=1).tolist()
+        return hi << 64 | lo
+
+    def move_keys(self, key, labels, units, targets):
+        """Keys of the labelings that move ``units[k]`` to group ``targets[k]``."""
+        change = self.codes[:, units, labels[units] - 1] ^ self.codes[:, units, targets - 1]
+        hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
+        return [(hi ^ a) << 64 | (lo ^ b) for a, b in zip(*change.tolist())]
+
+    def fit(self, labels, seed=None):
+        key = self.key(labels)
+        state = self.states.get(key)
+        if state is None:
+            state = self.states[key] = super().fit(labels, seed)
+        return state
+
+    def value(self, key):
+        """The known objective of the labeling with this key, or None."""
+        state = self.states.get(key)
+        return self.values.get(key) if state is None else state[4]
+
+
+def _local_search(labels, state, search, max_sweeps=100):
     """First-improvement single-move search on the mode's objective.
 
-    Scans units and target groups in index order; every accepted move
-    re-fits parameters exactly.  Repeats sweeps until none improves.
+    Scans units and target groups in index order and accepts the first move
+    that lowers the objective; every accepted move re-fits parameters
+    exactly, and the sweep resumes at the next unit.  Repeats sweeps until
+    none improves.
+
+    The moves left to scan are fitted ahead, up to ``_MOVE_BATCH`` at a
+    time, in one batched fixed point seeded at the current slopes; moves to
+    labelings whose objective ``search`` already knows are looked up
+    instead.  A move whose fit does not converge is skipped; a singular
+    design raises when the scan reaches its move.
     """
     obj = state[4]
-    n, g = data.n_units, config.n_groups
+    key = search.key(labels)
+    n, g = labels.shape[0], search.n_groups
+    if g == 1:
+        return labels, state
+    per_batch = max(_MOVE_BATCH // (g - 1), 1)
     for _ in range(max_sweeps):
         improved = False
-        counts = np.bincount(labels - 1, minlength=g)
-        for i in range(n):
-            src = labels[i]
-            if counts[src - 1] <= 1:
-                continue
-            for h in range(1, g + 1):
-                if h == src:
-                    continue
-                cand = labels.copy()
-                cand[i] = h
-                try:
-                    cand_state = fit(_frozen(cand), state[0])
-                except NonConvergenceError:
-                    continue
-                if cand_state[4] < obj - 1e-12 * (1.0 + abs(obj)):
-                    labels, state = cand, cand_state
-                    obj = cand_state[4]
-                    counts = np.bincount(labels - 1, minlength=g)
+        start = 0
+        while start < n:
+            counts = np.bincount(labels - 1, minlength=g)
+            movable = np.arange(start, n)
+            movable = movable[counts[labels[movable] - 1] > 1][:per_batch]
+            if not movable.size:
+                break
+            start = movable[-1] + 1
+            units = np.repeat(movable, g)
+            targets = np.tile(np.arange(1, g + 1), movable.size)
+            keep = targets != labels[units]
+            units, targets = units[keep], targets[keep]
+            keys = search.move_keys(key, labels, units, targets)
+            values = [search.value(k) for k in keys]
+            misses = np.array([k for k, v in enumerate(values) if v is None], dtype=int)
+            failed = {}
+            if misses.size:
+                fits = search.fit_moves(labels, state[0], units[misses], targets[misses])
+                for k, out in zip(misses, fits):
+                    if isinstance(out, Exception):
+                        failed[k] = out
+                    else:
+                        values[k] = search.values[keys[k]] = out[4]
+            for k, value in enumerate(values):
+                if k in failed:
+                    if isinstance(failed[k], NonConvergenceError):
+                        continue
+                    raise failed[k]
+                if value < obj - 1e-12 * (1.0 + abs(obj)):
+                    cand = labels.copy()
+                    cand[units[k]] = targets[k]
+                    try:
+                        state = search.fit(_frozen(cand), state[0])
+                    except NonConvergenceError:
+                        continue
+                    labels, key, obj = cand, keys[k], state[4]
                     improved = True
+                    start = units[k] + 1
                     break
         if not improved:
             break
@@ -496,22 +707,17 @@ def vns(
     found so far (resetting n to 1); otherwise n escalates to
     ``vns_neigh_max``.  With ``vns_neigh_max=0``, or a single group (where
     no jump can move a unit), this is exactly one Lloyd run.
+
+    Fits are cached per labeling for the whole run (see ``_Search``).  When
+    a Lloyd descent lands on a grouping that an earlier local search of this
+    run returned, the local search is skipped: it would rescan the same
+    cached neighbours and make no move.
     """
-    cache = {}
-
-    def fit(labels, seed):
-        # partitions recur constantly across jump cycles; the first state
-        # computed for a labeling is reused verbatim within this search
-        key = labels.tobytes()
-        state = cache.get(key)
-        if state is None:
-            state = _fit_raw(data, labels, config, seed)
-            cache[key] = state
-        return state
-
+    search = _Search(data, config)
+    searched = set()
     init = initialize(data, config, rng)
     best_state, best_labels, _, total_iters, converged = _lloyd_raw(
-        data, config, init.theta, init.alpha, init.sigma, fit
+        data, config, init.theta, init.alpha, init.sigma, search.fit
     )
     best_obj = best_state[4]
     improvements = [best_obj]
@@ -521,12 +727,14 @@ def vns(
         while n <= config.vns_neigh_max:
             labels_j = _jump(best_labels, g, n, rng)
             try:
-                state_j = fit(labels_j, best_state[0])
-                state_d, labels_d, _, iters_d, conv_d = _lloyd_raw(
-                    data, config, *state_j[:3], fit
+                state_j = search.fit(labels_j, best_state[0])
+                state_c, labels_c, _, iters_d, conv_d = _lloyd_raw(
+                    data, config, *state_j[:3], search.fit
                 )
                 total_iters += iters_d
-                labels_c, state_c = _local_search(data, labels_d, state_d, config, fit)
+                if search.key(labels_c) not in searched:
+                    labels_c, state_c = _local_search(labels_c, state_c, search)
+                    searched.add(search.key(labels_c))
             except NonConvergenceError:
                 n += 1
                 continue

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import wgfe
 from wgfe import (
     DuplicateCellError,
     GroupAssignment,
@@ -411,3 +416,16 @@ class TestOutputHygiene:
         assert "NaN" not in text and "Infinity" not in text
         doc = json.loads(text)
         assert doc["report"]["misclass_mean"]["two_way_fe"] is None
+
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        # SciPy is imported only where a command needs it
+        src = str(Path(wgfe.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, wgfe.cli; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -17,12 +17,13 @@ from wgfe.model import (
     group_ssr,
     residual_profiles,
     sigma_floor,
+    update_alpha,
     wgfe_objective,
 )
 from wgfe.solvers import (
     EstimationResult,
     SolverConfig,
-    _fit_raw,
+    _Kernel,
     initialize,
     lloyd,
     multi_start,
@@ -41,7 +42,7 @@ def exhaustive_best(data, cfg):
         if gamma.empty_groups():
             continue
         try:
-            value = _fit_raw(data, gamma.labels, cfg)[4]
+            value = _Kernel(data, cfg).fit(gamma.labels)[4]
         except NonConvergenceError:
             continue
         best = min(best, value)
@@ -161,6 +162,148 @@ class TestThetaFixedPoint:
             solve_theta_fixed_point(data, GroupAssignment(lab, 2), max_iters=1)
         assert exc.value.last_iterate is not None
         assert exc.value.residual > 0
+
+
+def dense_weighted_slopes(data, gamma, sigma):
+    """The scale-weighted normal equations solved on the group-demeaned panel."""
+    idx = gamma.labels - 1
+    counts = gamma.counts()
+    xbar = np.stack([data.covariates[idx == g].sum(0) for g in range(len(counts))])
+    ybar = np.stack([data.outcomes[idx == g].sum(0) for g in range(len(counts))])
+    xt = data.covariates - (xbar / counts[:, None, None])[idx]
+    yt = data.outcomes - (ybar / counts[:, None])[idx]
+    w = 1.0 / sigma[idx]
+    gram = np.einsum("i,itp,itq->pq", w, xt, xt)
+    return np.linalg.solve(gram, np.einsum("i,itp,it->p", w, xt, yt))
+
+
+class TestKernel:
+    """The sufficient-statistics fit against direct recomputation on the panel."""
+
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-3), (0.0, 1e3)])
+    def test_matches_direct_recomputation(self, mode, p, g, shift, scale, rng):
+        raw, _, _ = make_grouped_dataset(rng, n=30, t=5, p=p, g=g, sigma=np.linspace(0.2, 1.0, g))
+        data = PanelDataset(
+            scale * (raw.outcomes + shift), scale * (raw.covariates + shift)
+        )
+        gamma = random_assignment(rng, 30, g)
+        cfg = SolverConfig(mode=mode, n_groups=g, fp_tol=1e-13)
+        theta, alpha, sigma, q, value = _Kernel(data, cfg).fit(gamma.labels)
+        floor = sigma_floor(data)
+        if mode == "gfe":
+            ref_theta, _ = gfe_update(data, gamma)
+            ref_value = gfe_objective(data, theta, alpha, gamma).value
+        else:
+            ref_theta = dense_weighted_slopes(data, gamma, sigma) if p else np.zeros(0)
+            ref_value = wgfe_objective(data, theta, alpha, gamma).value
+        np.testing.assert_allclose(theta, ref_theta, rtol=1e-9, atol=1e-12)
+        ref_alpha = update_alpha(data, theta, gamma)
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-9, atol=1e-9 * scale)
+        ref_q = group_ssr(data, theta, alpha, gamma)
+        np.testing.assert_allclose(q, ref_q, rtol=1e-9)
+        np.testing.assert_allclose(sigma, np.maximum(np.sqrt(ref_q), floor), rtol=1e-9)
+        assert value == pytest.approx(ref_value, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_noiseless_panel_gives_scales_at_the_floor(self, mode, p):
+        # a zero Q_g computed as a difference of sums is rounding noise
+        for seed in range(20):
+            r = np.random.default_rng(seed)
+            n = int(r.integers(6, 3000))
+            labels = np.arange(n) % 3 + 1
+            alpha = 3.0 * r.standard_normal((3, 5))
+            x = r.standard_normal((n, 5, p)) * r.choice([0.01, 1.0, 100.0])
+            data = PanelDataset(x @ r.standard_normal(p) + alpha[labels - 1], x)
+            cfg = SolverConfig(mode=mode, n_groups=3)
+            _, _, sigma, q, value = _Kernel(data, cfg).fit(labels)
+            assert np.all(q >= 0.0)
+            np.testing.assert_array_equal(sigma, np.full(3, sigma_floor(data)))
+            assert value <= sigma_floor(data)
+
+    def test_single_member_groups_fit_exactly(self, rng):
+        # a lone unit is its own group mean, in a fresh fit and after a move
+        data = make_dataset(rng, n=6, t=4, p=1)
+        cfg = SolverConfig(mode="wgfe", n_groups=2)
+        kernel = _Kernel(data, cfg)
+        lone = np.array([1, 2, 2, 2, 2, 2])
+        fresh = kernel.fit(lone)
+        start = kernel.fit(np.array([1, 1, 2, 2, 2, 2]))
+        moved = kernel.fit_moves(
+            np.array([1, 1, 2, 2, 2, 2]), start[0], np.array([1]), np.array([2])
+        )[0]
+        for state in (fresh, moved):
+            assert state[3][0] == 0.0
+            assert state[2][0] == sigma_floor(data)
+        assert moved[4] == pytest.approx(fresh[4], rel=1e-12)
+
+
+def sequential_local_search(labels, state, fit, g, max_sweeps=100):
+    """The first-improvement loop with one fit per candidate move, as a reference."""
+    obj = state[4]
+    n = labels.shape[0]
+    for _ in range(max_sweeps):
+        improved = False
+        counts = np.bincount(labels - 1, minlength=g)
+        for i in range(n):
+            src = labels[i]
+            if counts[src - 1] <= 1:
+                continue
+            for h in range(1, g + 1):
+                if h == src:
+                    continue
+                cand = labels.copy()
+                cand[i] = h
+                try:
+                    cand_state = fit(cand, state[0])
+                except NonConvergenceError:
+                    continue
+                if cand_state[4] < obj - 1e-12 * (1.0 + abs(obj)):
+                    labels, state, obj = cand, cand_state, cand_state[4]
+                    counts = np.bincount(labels - 1, minlength=g)
+                    improved = True
+                    break
+        if not improved:
+            break
+    return labels, state
+
+
+class TestLocalSearch:
+    def test_batched_search_matches_sequential_reference(self):
+        stalled = 0
+        for case in range(20):
+            r = np.random.default_rng(500 + case)
+            n, g, p = int(r.integers(8, 41)), int(r.integers(2, 4)), int(r.integers(0, 3))
+            mode = ("wgfe", "gfe")[case % 2]
+            data, _, _ = make_grouped_dataset(r, n=n, t=4, p=p, g=g, sigma=np.linspace(0.3, 1.2, g))
+            labels = random_assignment(r, n, g).labels
+            labels.setflags(write=False)
+            cfg = SolverConfig(mode=mode, n_groups=g, fp_max_iters=2 if case % 4 >= 2 else 500)
+            state = _Kernel(data, replace(cfg, fp_max_iters=500)).fit(labels)
+            kernel = _Kernel(data, cfg)
+            cache = {}
+
+            def fit(lab, seed):
+                nonlocal stalled
+                key = lab.tobytes()
+                if key not in cache:
+                    try:
+                        cache[key] = kernel.fit(lab, seed)
+                    except NonConvergenceError:
+                        stalled += 1
+                        raise
+                return cache[key]
+
+            ref_labels, ref_state = sequential_local_search(labels, state, fit, g)
+            got_labels, got_state = solvers._local_search(
+                labels, state, solvers._Search(data, cfg)
+            )
+            np.testing.assert_array_equal(got_labels, ref_labels)
+            assert got_state[4] == pytest.approx(ref_state[4], rel=1e-12)
+        assert stalled > 0  # some candidate fits hit the iteration cap
 
 
 class TestInitialize:
@@ -387,13 +530,8 @@ class TestVns:
 
         repaired = solvers._repair_empty(keep(labels), rng.standard_normal((20, 3)))
         jumped = solvers._jump(keep(repaired), 3, 5, np.random.default_rng(1))
-        searched, _ = solvers._local_search(
-            data,
-            keep(jumped),
-            _fit_raw(data, jumped, cfg),
-            cfg,
-            lambda lab, seed: _fit_raw(data, lab, cfg, seed),
-        )
+        search = solvers._Search(data, cfg)
+        searched, _ = solvers._local_search(keep(jumped), search.fit(jumped), search)
         assert np.bincount(repaired - 1, minlength=3).min() >= 1
         for arr, copy in given:
             assert not arr.flags.writeable
