@@ -442,12 +442,16 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
             break
         trace.append(value)
         best = (theta, alpha, gamma, value)
+        covs, _ = group_covariances(data, theta, alpha, gamma)
+        if min(c.trace for c in covs) <= 0.0:
+            # an exactly fitted group has a zero covariance and no derivative
+            converged = True
+            break
         try:
             grad = assignment_gradient(
                 data, theta, alpha, SoftAssignment.from_hard(gamma)
             )
-        except (IllConditionedError, NonSpdError):
-            # an exactly fitted group has a zero covariance and no derivative
+        except IllConditionedError:
             converged = True
             break
         gamma_next = GroupAssignment(

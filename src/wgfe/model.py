@@ -342,28 +342,7 @@ def _least_squares(x: np.ndarray, y: np.ndarray, xw: np.ndarray = None) -> np.nd
     xw = x if xw is None else xw
     gram = x.T @ xw
     _check_rank(gram)
-    return _solve_normal(gram, xw.T @ y)
-
-
-def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve stacked square systems ``gram b = rhs``, shapes (..., p, p) and (..., p).
-
-    Closed forms for p <= 2 (Cramer's rule is forward stable there), where
-    a LAPACK call costs far more than the arithmetic.
-    """
-    p = gram.shape[-1]
-    if p == 1:
-        return rhs / gram[..., 0]
-    if p == 2:
-        a, b = gram[..., 0, 0], gram[..., 0, 1]
-        c, d = gram[..., 1, 0], gram[..., 1, 1]
-        r0, r1 = rhs[..., 0], rhs[..., 1]
-        det = a * d - b * c
-        out = np.empty(rhs.shape)
-        out[..., 0] = (d * r0 - b * r1) / det
-        out[..., 1] = (a * r1 - c * r0) / det
-        return out
-    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    return np.linalg.solve(gram, xw.T @ y)
 
 
 def _group_q(resid: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -573,18 +552,9 @@ def _rank_deficient(gram: np.ndarray):
     Returns ``(mask, min_eig)``: a Gram matrix is deficient when its smallest
     eigenvalue is at most ``EPS_RANK`` times its mean eigenvalue.
     """
-    p = gram.shape[-1]
-    if p == 1:
-        min_eig = trace = gram[..., 0, 0]
-    elif p == 2:
-        # closed form, as accurate as a LAPACK solver: both err by ~eps * trace
-        trace = gram[..., 0, 0] + gram[..., 1, 1]
-        half_gap = 0.5 * (gram[..., 0, 0] - gram[..., 1, 1])
-        min_eig = 0.5 * trace - np.hypot(half_gap, gram[..., 1, 0])
-    else:
-        trace = np.einsum("...ii->...", gram)
-        min_eig = np.linalg.eigvalsh(gram)[..., 0]
-    return min_eig <= EPS_RANK * trace / p, min_eig
+    eigs = np.linalg.eigvalsh(gram)
+    min_eig = eigs[..., 0]
+    return min_eig <= EPS_RANK * eigs.sum(axis=-1) / gram.shape[-1], min_eig
 
 
 def _singular_design(min_eig: float) -> SingularDesignError:

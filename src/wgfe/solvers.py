@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import EmptyGroupError, NonConvergenceError, SingularDesignError, WgfeError
 from .model import (
+    EPS_RANK,
     GroupAssignment,
     GroupParameters,
     ObjectiveBreakdown,
@@ -29,7 +30,6 @@ from .model import (
     _profile_distances,
     _rank_deficient,
     _singular_design,
-    _solve_normal,
     _two_way_demeaned,
     residual_profiles,
     sigma_floor,
@@ -184,51 +184,66 @@ def solve_theta_fixed_point(
 
 #: A Q_g below this share of a bound on the magnitudes that cancel in it is
 #: rounding noise of its sufficient-statistics form, and reads as 0.  Exact
-#: fits of up to 5000 units left noise below 7e-14 of that bound.
+#: fits of up to 5000 units, with group effects up to 1e4 apart, left noise
+#: below 1e-15 of that bound.
 _Q_ROUNDING = 2.0**12 * np.finfo(float).eps
 
-#: Seed of the random codes that key labelings in a search's caches.
+#: Seed of the random codes that key labelings in a search's cache.
 _KEY_SEED = 20231
+
+#: Largest ratio of a removed unit's scatter to the scatter left in its
+#: group (per variable) that a move's downdate may carry: the fit loses
+#: about this factor times eps of relative precision.
+_DOWNDATE_LIMIT = 2.0**8
 
 #: Most single moves the local search fits in one batched fixed point
 #: (whole units at a time, so at least one unit's moves).
 _MOVE_BATCH = 256
 
 
+def _outer_sums(dev):
+    """sum_t d_t d_t' for each row of a (K, T, a) stack, flattened to (K, a * a)."""
+    k, _, a = dev.shape
+    return (dev.transpose(0, 2, 1) @ dev).reshape(k, a * a)
+
+
 class _Kernel:
     """The parameter update at a fixed grouping, from per-group sufficient statistics.
 
     Built once per search.  Outcomes and covariates are stacked as
-    z = (y, x), of shape (N, T, 1 + p), and centred by their period means,
-    so that shifts of the data never cancel.  Each unit contributes its
-    centred path and its cross products sum_t z_it z_it'.  A grouping
-    enters only through their sums over each group's members (and the group
-    counts n_g), which give the group means and the within-group cross
-    products
+    z = (y, x), of shape (N, T, 1 + p), and centred by their period means.
+    A grouping enters only through its counts n_g, its group means
+    zbar_gt and its within-group cross products
 
-        M_g = sum_{i in g} sum_t z_it z_it' - n_g sum_t zbar_gt zbar_gt'.
+        M_g = sum_{i in g} sum_t (z_it - zbar_gt) (z_it - zbar_gt)',
 
-    With v = (1, -theta), Q_g(theta) = v' M_g v / (T n_g); the weighted
-    normal equations are sum_g M_g[x, x] / sigma_g and
-    sum_g M_g[x, y] / sigma_g.  The slope fixed point therefore runs on G
-    small matrices and never touches the (N, T) arrays, and moving one unit
-    adds its row to one group's sums and takes it from another's
-    (:meth:`fit_moves`), so a whole neighbourhood is fitted in one batch.
+    summed from group-centred rows, so that neither a shift of the data nor
+    groups that sit far apart cancel digits.  With v = (1, -theta),
+    Q_g(theta) = v' M_g v / (T n_g); the weighted normal equations are
+    sum_g M_g[x, x] / sigma_g and sum_g M_g[x, y] / sigma_g.  The slope
+    fixed point therefore runs on G small matrices and never touches the
+    (N, T) arrays.
+
+    Moving unit i from group s to group h changes the statistics by
+    rank-one terms in its deviations d_g = z_i - zbar_g from the two
+    groups' means (Welford's update):
+
+        M_h + n_h / (n_h + 1) sum_t d_ht d_ht',
+        M_s - n_s / (n_s - 1) sum_t d_st d_st',
+
+    so :meth:`fit_moves` fits a whole neighbourhood in one batch.
     """
 
     def __init__(self, data, config):
         self.config = config
         self.n_groups = config.n_groups
         z = np.concatenate([data.outcomes[:, :, None], data.covariates], axis=2)
-        n, t, a = z.shape
         self.centre = z.mean(axis=0)
-        z = z - self.centre
-        cross = np.einsum("ita,itb->iab", z, z)
-        self.units = np.concatenate([z.reshape(n, t * a), cross.reshape(n, a * a)], axis=1)
+        self.z = z - self.centre
         self.floor = sigma_floor(data)
 
     def stats(self, labels):
-        """Counts (G,) and the member sums of the unit rows (G, T (1 + p) + (1 + p)^2).
+        """Counts (G,), means (G, T, 1 + p) and within-group cross products (G, (1 + p)^2).
 
         ``labels`` is a 1-based label array, read and never written.
         """
@@ -237,8 +252,13 @@ class _Kernel:
         counts = np.bincount(idx, minlength=g)
         if np.any(counts == 0):
             raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
+        n, t, a = self.z.shape
         members = (idx == np.arange(g)[:, None]).astype(float)
-        return counts, members @ self.units
+        sums = members @ self.z.reshape(n, t * a)
+        means = sums.reshape(g, t, a) / counts[:, None, None]
+        dev = self.z - means[idx]
+        cross = [_outer_sums(dev[idx == k].reshape(1, -1, a)) for k in range(g)]
+        return counts, means, np.concatenate(cross)
 
     def fit(self, labels, seed=None):
         """The update at one grouping, as ``(theta, alpha, sigma, q, value)``.
@@ -246,9 +266,9 @@ class _Kernel:
         Raises like :func:`solve_theta_fixed_point`, and
         ``SingularDesignError`` on a rank-deficient weighted design.
         """
-        counts, sums = self.stats(labels)
+        counts, means, cross = self.stats(labels)
         seeds = None if seed is None else np.asarray(seed, dtype=float)[None]
-        out = self._solve(counts[None], sums[None], seeds)[0]
+        out = self._solve(counts[None], means[None], cross[None], seeds)[0]
         if isinstance(out, Exception):
             raise out
         return out
@@ -259,21 +279,43 @@ class _Kernel:
         Move k sends unit ``units[k]`` to group ``targets[k]``; its source
         group must keep a member.  Every fit is seeded at ``seed``.  Returns
         one outcome per move: its state, or the exception its fit raised.
+
+        Taking a unit out of a group cancels digits in proportion to its
+        share of the group's scatter; a move whose share exceeds
+        ``_DOWNDATE_LIMIT`` times what is left gets the statistics of its
+        own labeling instead.
         """
-        counts, sums = self.stats(labels)
+        counts, means, cross = self.stats(labels)
         k = units.shape[0]
+        a = means.shape[2]
         rows = np.arange(k)
         src, dst = labels[units] - 1, targets - 1
+        n_src, n_dst = counts[src][:, None], counts[dst][:, None]
+        d_src = self.z[units] - means[src]
+        d_dst = self.z[units] - means[dst]
         counts = np.repeat(counts[None], k, axis=0)
         counts[rows, src] -= 1
         counts[rows, dst] += 1
-        sums = np.repeat(sums[None], k, axis=0)
-        sums[rows, src] -= self.units[units]
-        sums[rows, dst] += self.units[units]
+        means = np.repeat(means[None], k, axis=0)
+        means[rows, src] -= d_src / (n_src - 1)[:, None]
+        means[rows, dst] += d_dst / (n_dst + 1)[:, None]
+        cross = np.repeat(cross[None], k, axis=0)
+        removed = n_src / (n_src - 1) * _outer_sums(d_src)
+        cross[rows, src] -= removed
+        cross[rows, dst] += n_dst / (n_dst + 1) * _outer_sums(d_dst)
+        # a lone member has no spread about its own mean
+        lone = n_src[:, 0] == 2
+        cross[rows[lone], src[lone]] = 0.0
+        left = cross[rows, src, :: a + 1]
+        lossy = ~lone & np.any(removed[:, :: a + 1] > _DOWNDATE_LIMIT * left, axis=1)
+        for r in np.flatnonzero(lossy):
+            moved = labels.copy()
+            moved[units[r]] = targets[r]
+            counts[r], means[r], cross[r] = self.stats(moved)
         seeds = np.repeat(np.asarray(seed, dtype=float)[None], k, axis=0)
-        return self._solve(counts, sums, seeds)
+        return self._solve(counts, means, cross, seeds)
 
-    def _solve(self, counts, sums, seeds):
+    def _solve(self, counts, means, cross, seeds):
         """The update at K groupings from their stacked statistics.
 
         Successive substitution, as documented at
@@ -283,48 +325,49 @@ class _Kernel:
         """
         config = self.config
         k, g = counts.shape
-        t, a = self.centre.shape
+        a = self.centre.shape[1]
         aa = a * a
         tol = config.fp_tol
-        path = sums[..., : t * a].reshape(k, g, t, a)
-        raw = sums[..., t * a :].reshape(k, g, aa)
-        outer = np.einsum("kgta,kgtb->kgab", path, path).reshape(k, g, aa)
-        cross = raw - outer / counts[..., None]
-        # a lone member has no spread about its own mean
-        cross[counts == 1] = 0.0
-        means = path / counts[..., None, None] + self.centre
-        # Q_g = v' M_g v / (T n_g) with v = (1, -theta); the same form in |v|
-        # over the outer product of sqrt(diag) of the raw sums bounds the
-        # magnitudes that cancel in it (Cauchy-Schwarz)
-        root = np.sqrt(np.maximum(raw[..., :: a + 1], 0.0))
-        bound = _Q_ROUNDING * (root[..., :, None] * root[..., None, :]).reshape(k, g, aa)
-        forms = np.concatenate([cross, bound], axis=2) / (t * counts)[..., None]
-        pairs = np.zeros((k, 2 * aa, 2))
+        # Q_g = v' M_g v / (T n_g) with v = (1, -theta); by Cauchy-Schwarz the
+        # magnitudes that cancel in it are bounded by (sum_a |v_a| r_ga)^2 with
+        # r_g = sqrt(diag M_g / (T n_g)), and below _Q_ROUNDING times that
+        # bound Q_g is rounding noise
+        scale = 1.0 / (means.shape[2] * counts)
+        forms = cross * scale[..., None]
+        roots = np.sqrt(np.maximum(forms[..., :: a + 1], 0.0) * _Q_ROUNDING)
         v = np.ones((k, a))
         # rows whose weighted design was singular, with its smallest eigenvalue
         failed = np.zeros(k, dtype=bool)
         min_eigs = np.zeros(k)
+        # positive weights w_g scale the smallest eigenvalue of
+        # sum_g w_g M_g[x, x] by at least min w and its trace by at most max w,
+        # so the rank check can only fail where the unweighted design's
+        # margin does not cover twice the spread of the weights
+        if a > 1:
+            eigs = np.linalg.eigvalsh(cross.sum(axis=1).reshape(k, a, a)[:, 1:, 1:])
+            plain_min = eigs[:, 0] * (a - 1)
+            plain_trace = 2.0 * EPS_RANK * eigs.sum(axis=1)
 
         def group_q(theta):
             v[:, 1:] = -theta
-            vv = (v[:, :, None] * v[:, None, :]).reshape(k, aa)
-            pairs[:, :aa, 0] = vv
-            np.abs(vv, out=pairs[:, aa:, 1])
-            q_and_bound = forms @ pairs
-            q = q_and_bound[..., 0]
-            return np.where(q > q_and_bound[..., 1], q, 0.0)
+            q = (forms @ (v[:, :, None] * v[:, None, :]).reshape(k, aa, 1))[..., 0]
+            bound = (roots @ np.abs(v)[..., None])[..., 0]
+            return np.where(q > bound * bound, q, 0.0)
 
         def least_squares(weights, rows):
-            # slopes at the weights; rows with a singular design fail
+            # slopes at the weights; rows with a singular design fail and
+            # leave ``rows``
             both = (weights[:, None, :] @ cross).reshape(k, a, a)
             gram = both[:, 1:, 1:]
-            deficient, min_eig = _rank_deficient(gram)
-            if deficient.any():
+            spread = weights.max(axis=1) / weights.min(axis=1)
+            if np.any(plain_min <= spread * plain_trace):
+                deficient, min_eig = _rank_deficient(gram)
                 newly = deficient & rows & ~failed
                 failed[newly] = True
                 min_eigs[newly] = min_eig[newly]
+                rows[newly] = False
                 gram = np.where(deficient[:, None, None], np.eye(a - 1), gram)
-            return _solve_normal(gram, both[:, 1:, 0])
+            return np.linalg.solve(gram, both[:, 1:, :1])[..., 0]
 
         def norm(b):
             return np.hypot.reduce(b, axis=1)
@@ -343,19 +386,16 @@ class _Kernel:
                     break
                 sigma = _clamped_sigma(group_q(theta), self.floor)
                 step_to = least_squares(1.0 / sigma, active)
-                active &= ~failed
                 done = norm(step_to - theta) <= tol * (1.0 + norm(step_to))
                 theta = np.where(active[:, None], step_to, theta)
                 converged |= active & done
                 active &= ~done
         q = group_q(theta)
         sigma = _clamped_sigma(q, self.floor)
-        alpha = means[..., 0] - np.einsum("kgta,ka->kgt", means[..., 1:], theta)
-        weights = counts / self.units.shape[0]
-        if config.mode == "gfe":
-            values = np.einsum("kg,kg->k", weights, q)
-        else:
-            values = np.einsum("kg,kg->k", weights, np.sqrt(q))
+        means = means + self.centre
+        alpha = means[..., 0] - (means[..., 1:] @ theta[:, None, :, None])[..., 0]
+        weights = counts / self.z.shape[0]
+        values = (weights * (q if config.mode == "gfe" else np.sqrt(q))).sum(axis=1)
         residual = np.zeros(k)
         stalled = np.zeros(k, dtype=bool)
         if weighted:
@@ -577,20 +617,18 @@ def _jump(labels, g, n_moves, rng):
 
 
 class _Search(_Kernel):
-    """The kernel of one :func:`vns` run, with its partition caches.
+    """The kernel of one :func:`vns` run, with its partition cache.
 
-    Partitions recur constantly across jump cycles.  ``states`` keeps the
-    first state fitted for a labeling, which :meth:`fit` then returns
-    verbatim.  ``values`` keeps the objective of each single move that a
-    local-search batch fitted; a batch updates the statistics of the
-    grouping it starts from, so its numbers carry the rounding of that path,
-    and any state the search keeps is refitted from the labeling itself.
+    Partitions recur constantly across jump cycles.  ``states`` maps the key
+    of a labeling to the first state fitted for it, by :meth:`fit` or by a
+    local-search batch, and :meth:`fit` returns it verbatim.
 
     Labelings are keyed by a 128-bit Zobrist hash: two independent random
     64-bit codes per (unit, group), XORed over the units.  A single move
     changes a key by two codes, so a neighbourhood is keyed without building
-    its labelings; among a billion labelings the chance of any two keys
-    colliding is below 1e-20.
+    its labelings, in O(1) time and memory per move where the bytes of a
+    label array take O(N); among a billion labelings the chance of any two
+    keys colliding is below 1e-20.
     """
 
     def __init__(self, data, config):
@@ -601,7 +639,6 @@ class _Search(_Kernel):
             top, size=(2, data.n_units, config.n_groups), dtype=np.uint64, endpoint=True
         )
         self.states = {}
-        self.values = {}
 
     def key(self, labels):
         """The key of a 1-based label array."""
@@ -622,11 +659,6 @@ class _Search(_Kernel):
             state = self.states[key] = super().fit(labels, seed)
         return state
 
-    def value(self, key):
-        """The known objective of the labeling with this key, or None."""
-        state = self.states.get(key)
-        return self.values.get(key) if state is None else state[4]
-
 
 def _local_search(labels, state, search, max_sweeps=100):
     """First-improvement single-move search on the mode's objective.
@@ -638,9 +670,10 @@ def _local_search(labels, state, search, max_sweeps=100):
 
     The moves left to scan are fitted ahead, up to ``_MOVE_BATCH`` at a
     time, in one batched fixed point seeded at the current slopes; moves to
-    labelings whose objective ``search`` already knows are looked up
-    instead.  A move whose fit does not converge is skipped; a singular
-    design raises when the scan reaches its move.
+    labelings that ``search`` has already fitted are looked up instead.  An
+    accepted move keeps the full fixed-point fit its batch computed (see
+    :meth:`_Kernel.fit_moves`).  A move whose fit does not converge is
+    skipped; a singular design raises when the scan reaches its move.
     """
     obj = state[4]
     key = search.key(labels)
@@ -663,29 +696,23 @@ def _local_search(labels, state, search, max_sweeps=100):
             keep = targets != labels[units]
             units, targets = units[keep], targets[keep]
             keys = search.move_keys(key, labels, units, targets)
-            values = [search.value(k) for k in keys]
-            misses = np.array([k for k, v in enumerate(values) if v is None], dtype=int)
-            failed = {}
+            outcomes = [search.states.get(move_key) for move_key in keys]
+            misses = np.array([k for k, out in enumerate(outcomes) if out is None], dtype=int)
             if misses.size:
                 fits = search.fit_moves(labels, state[0], units[misses], targets[misses])
                 for k, out in zip(misses, fits):
-                    if isinstance(out, Exception):
-                        failed[k] = out
-                    else:
-                        values[k] = search.values[keys[k]] = out[4]
-            for k, value in enumerate(values):
-                if k in failed:
-                    if isinstance(failed[k], NonConvergenceError):
-                        continue
-                    raise failed[k]
-                if value < obj - 1e-12 * (1.0 + abs(obj)):
-                    cand = labels.copy()
-                    cand[units[k]] = targets[k]
-                    try:
-                        state = search.fit(_frozen(cand), state[0])
-                    except NonConvergenceError:
-                        continue
-                    labels, key, obj = cand, keys[k], state[4]
+                    outcomes[k] = out
+                    if not isinstance(out, Exception):
+                        search.states[keys[k]] = out
+            for k, out in enumerate(outcomes):
+                if isinstance(out, NonConvergenceError):
+                    continue
+                if isinstance(out, Exception):
+                    raise out
+                if out[4] < obj - 1e-12 * (1.0 + abs(obj)):
+                    labels = labels.copy()
+                    labels[units[k]] = targets[k]
+                    labels, key, state, obj = _frozen(labels), keys[k], out, out[4]
                     improved = True
                     start = units[k] + 1
                     break
@@ -756,7 +783,10 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
 
     Restart k draws from substream k of ``config.seed``, so the selected
     result is identical whether restarts run serially or on a thread pool.
-    Ties in the objective go to the lowest restart index.  A restart that
+    A later restart replaces the best so far only when it improves on it by
+    more than the searches' own 1e-12 relative threshold, so ties (often
+    the same partition with its labels permuted) go to the lowest restart
+    index rather than to rounding noise.  A restart that
     raises a package error or a linear-algebra failure is skipped; any other
     exception propagates.  Raises ``NonConvergenceError`` only when every
     restart fails.
@@ -783,7 +813,9 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
             failures.append((k, out))
             continue
         n_ok += 1
-        if best is None or out.objective < best.objective:
+        if best is None or out.objective < best.objective - 1e-12 * (
+            1.0 + abs(best.objective)
+        ):
             best = out
     if best is None:
         raise NonConvergenceError(

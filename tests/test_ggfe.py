@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm as dense_sqrtm
 
+from wgfe import ggfe
 from wgfe.errors import (
     EmptyGroupError,
     IllConditionedError,
@@ -500,6 +501,17 @@ class TestGgfeDescent:
             np.testing.assert_allclose(
                 res.params.sigma, np.maximum(np.sqrt(q), 1e-30), rtol=1e-12
             )
+
+    def test_gradient_failure_at_a_regular_grouping_propagates(self, rng, monkeypatch):
+        # only a group fitted exactly (zero covariance) ends the descent quietly
+        data, _, _ = make_grouped_dataset(rng, n=20, t=3, p=1)
+
+        def broken_gradient(*args, **kwargs):
+            raise NonSpdError("matrix entries must be finite")
+
+        monkeypatch.setattr(ggfe, "assignment_gradient", broken_gradient)
+        with pytest.raises(NonSpdError):
+            ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=1))
 
     def test_rejects_other_modes(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=10, t=3, p=1)

@@ -224,6 +224,37 @@ class TestKernel:
             np.testing.assert_array_equal(sigma, np.full(3, sigma_floor(data)))
             assert value <= sigma_floor(data)
 
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("offset", [1e4, 1e7])
+    def test_groups_far_apart_cancel_nothing(self, mode, p, offset, rng):
+        # group effects `offset` noise scales apart, in a fit and after each
+        # move, from the true grouping and from one with a unit misplaced
+        alpha = offset * np.repeat([[0.0], [1.0]], 5, axis=1)
+        data, truth, _ = make_grouped_dataset(
+            rng, n=40, t=5, p=p, g=2, alpha=alpha, sigma=np.array([0.5, 1.0])
+        )
+        cfg = SolverConfig(mode=mode, n_groups=2, fp_tol=1e-13)
+        kernel = _Kernel(data, cfg)
+        crit = gfe_objective if mode == "gfe" else wgfe_objective
+        misplaced = truth.labels.copy()
+        misplaced[0] = 3 - misplaced[0]
+        for labels in (truth.labels, misplaced):
+            state = kernel.fit(labels)
+            units = np.arange(40)
+            moved = kernel.fit_moves(labels, state[0], units, 3 - labels)
+            for i, out in [(None, state), *enumerate(moved)]:
+                cand = labels.copy()
+                if i is not None:
+                    cand[i] = 3 - labels[i]
+                gamma = GroupAssignment(cand, 2)
+                theta, alpha_hat, sigma, q, value = out
+                ref_q = group_ssr(data, theta, alpha_hat, gamma)
+                np.testing.assert_allclose(q, ref_q, rtol=1e-9)
+                np.testing.assert_allclose(sigma, np.sqrt(ref_q), rtol=1e-9)
+                ref_value = crit(data, theta, alpha_hat, gamma).value
+                assert value == pytest.approx(ref_value, rel=1e-9)
+
     def test_single_member_groups_fit_exactly(self, rng):
         # a lone unit is its own group mean, in a fresh fit and after a move
         data = make_dataset(rng, n=6, t=4, p=1)
@@ -567,6 +598,18 @@ class TestMultiStart:
         singles = [vns(data, cfg, np.random.default_rng(s)).objective for s in streams]
         assert res.objective == min(singles)
         assert res.n_restarts_used == 5
+
+    def test_rounding_ties_go_to_the_lowest_restart(self, rng, monkeypatch):
+        data, _, _ = make_grouped_dataset(rng, n=15, t=3, p=0, g=2)
+        cfg = SolverConfig(n_groups=2, n_restarts=4, vns_iter_max=0)
+        base = multi_start(data, cfg)
+        for step, pick in [(1e-16, 0), (1e-9, 3)]:
+            # restart k reaches the same value less k steps
+            outs = iter(
+                [replace(base, objective=1.0 - step * k, n_lloyd_iters=k) for k in range(4)]
+            )
+            monkeypatch.setattr(solvers, "vns", lambda *args: next(outs))
+            assert multi_start(data, cfg).n_lloyd_iters == pick
 
     def test_more_restarts_never_hurt(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=25, t=3, p=0, g=3, sigma=[0.2, 0.5, 1.1])
