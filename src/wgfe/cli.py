@@ -264,6 +264,9 @@ def cmd_estimate(args) -> int:
 
 
 def _spec_from_dict(raw) -> SimulationSpec:
+    error_law = raw.get("error_law", "gaussian_grouped")
+    if error_law != "gaussian_grouped":
+        raise ValueError(f"unknown error law {error_law!r}")
     law_raw = raw.get("covariate_law")
     law = None
     if law_raw is not None:
@@ -286,7 +289,6 @@ def _spec_from_dict(raw) -> SimulationSpec:
         group_probs=np.asarray(raw["group_probs"], dtype=float),
         covariate_law=law,
         dynamic=bool(raw.get("dynamic", False)),
-        error_law=raw.get("error_law", "gaussian_grouped"),
     )
 
 

@@ -4,7 +4,7 @@ The scale-weighted estimator treats within-group dispersion as a scalar.
 This module generalizes it: each group carries a dense T-by-T residual
 covariance, the criterion is the trace of the Bures-Wasserstein barycenter
 of those covariances, units are reassigned along the criterion's exact
-assignment derivative, and slopes and effects are refitted numerically.
+assignment derivative, and slopes are refitted with effects profiled out.
 
 Gradients build T^2-by-T^2 Kronecker operators, so they are meant for
 short panels (T up to about 16).
@@ -29,6 +29,7 @@ from .model import (
     group_ssr,
     residual_profiles,
     sigma_floor,
+    within_group_means,
 )
 from .solvers import (
     EstimationResult,
@@ -43,7 +44,7 @@ EPS_EIG = 1e-10
 """Relative eigenvalue floor (times trace/T) for matrix square roots."""
 
 INNER_EVAL_BUDGET = 50
-"""Criterion evaluations allowed per slope-and-effect refit in the descent."""
+"""Criterion evaluations allowed per slope refit in the descent."""
 
 
 def _sym(a):
@@ -366,47 +367,51 @@ def _guarded_objective(data, theta, alpha, gamma):
 
 
 def _inner_update(data, gamma, kernel, theta_seed):
-    """Refit slopes and effects at a fixed grouping.
+    """Refit the slopes at a fixed grouping, with the effects profiled out.
 
-    Seeds at the scale-weighted update for the grouping, from the descent's
-    fit ``kernel``, then runs a derivative-free direction-set search
-    (coordinate directions first) capped at ``INNER_EVAL_BUDGET`` criterion
-    evaluations, keeping the better of seed and search.
+    The effects are the group means at the slopes, ``ybar_g - xbar_g theta``.
+    Seeds at the kernel's scale-weighted slopes for the grouping, then runs a
+    Powell search over the slopes alone capped at ``INNER_EVAL_BUDGET``
+    criterion evaluations, keeping the better of seed and search.
     """
     try:
-        theta0, alpha0, _, _, _ = kernel.fit(gamma.labels, theta_seed)
+        theta0 = kernel.fit(gamma.labels, theta_seed)[0]
     except NonConvergenceError as exc:
-        theta0, alpha0, _ = exc.last_iterate
-    p, t, g = data.n_covariates, data.n_periods, gamma.n_groups
+        theta0 = exc.last_iterate[0]
+    means = within_group_means(data, gamma)
 
-    def crit(z):
-        return _guarded_objective(data, z[:p], z[p:].reshape(g, t), gamma)
+    def effects(theta):
+        return means.outcomes - means.covariates @ theta
+
+    def crit(theta):
+        return _guarded_objective(data, theta, effects(theta), gamma)
 
     from scipy.optimize import minimize
 
-    z0 = np.concatenate([theta0, alpha0.ravel()])
-    f0 = crit(z0)
+    f0 = crit(theta0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = minimize(
             crit,
-            z0,
+            theta0,
             method="Powell",
             options={"maxfev": INNER_EVAL_BUDGET, "xtol": 1e-8, "ftol": 1e-10},
         )
     if np.isfinite(out.fun) and out.fun < f0:
-        z, value = out.x, float(out.fun)
+        theta, value = out.x, float(out.fun)
     else:
-        z, value = z0, f0
-    return z[:p], z[p:].reshape(g, t), value
+        theta, value = theta0, f0
+    return theta, effects(theta), value
 
 
 def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     """Estimate the full-covariance grouped model by alternating descent.
 
-    Each round refits slopes and effects at the current grouping, then
-    moves every unit to the group minimizing its exact assignment
-    derivative, repairing emptied groups from the worst-scoring donors.
+    Each round refits the slopes, with the effects at their group means,
+    then moves every unit to the group minimizing its exact assignment
+    derivative, topping up groups left with fewer than two members from the
+    worst-scoring donors: a one-member group is fitted exactly by its effect
+    row, and a zero covariance beside nonzero ones has no criterion value.
     Stops at an assignment fixed point or after ``max_lloyd_iters`` rounds.
 
     Two guarded stops keep the loop a descent: a round whose refit value
@@ -419,11 +424,13 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     """
     if config.mode != "ggfe":
         raise ValueError(f"ggfe_descent needs mode 'ggfe', got {config.mode!r}")
+    if data.n_units < 2 * config.n_groups:
+        raise ValueError(f"need at least two units per group, got {data.n_units} units")
     rng = np.random.default_rng(config.seed)
     init = initialize(data, config, rng)
     d2 = _profile_distances(data, init.theta, init.alpha)
     gamma = GroupAssignment(
-        _repair_empty(np.argmin(d2, axis=1) + 1, d2), config.n_groups
+        _repair_empty(np.argmin(d2, axis=1) + 1, d2, min_size=2), config.n_groups
     )
     theta = init.theta
     kernel = _Kernel(data, config)
@@ -455,7 +462,7 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
             converged = True
             break
         gamma_next = GroupAssignment(
-            _repair_empty(np.argmin(grad, axis=1) + 1, grad), config.n_groups
+            _repair_empty(np.argmin(grad, axis=1) + 1, grad, min_size=2), config.n_groups
         )
         if gamma_next.same_as(gamma):
             converged = True

@@ -328,21 +328,17 @@ def _two_way_demeaned(data: PanelDataset):
     return ydd.ravel(), xdd.reshape(-1, data.n_covariates)
 
 
-def _least_squares(x: np.ndarray, y: np.ndarray, xw: np.ndarray = None) -> np.ndarray:
-    """Solve the normal equations ``(x' xw) b = xw' y`` for 2-d ``x``.
-
-    ``xw`` is ``x`` with rows scaled by observation weights (``x`` itself
-    when unweighted).
+def _least_squares(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve the normal equations ``(x' x) b = x' y`` for 2-d ``x``.
 
     Raises
     ------
     SingularDesignError
         If the Gram matrix is numerically rank deficient.
     """
-    xw = x if xw is None else xw
-    gram = x.T @ xw
+    gram = x.T @ x
     _check_rank(gram)
-    return np.linalg.solve(gram, xw.T @ y)
+    return np.linalg.solve(gram, x.T @ y)
 
 
 def _group_q(resid: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -108,13 +108,10 @@ class SimulationSpec:
     group_probs: np.ndarray
     covariate_law: Optional[CovariateLaw] = None
     dynamic: bool = False
-    error_law: str = "gaussian_grouped"
 
     def __post_init__(self):
         if self.n_units < 1 or self.n_periods < 1 or self.n_groups < 1:
             raise ValueError("n_units, n_periods and n_groups must be positive")
-        if self.error_law != "gaussian_grouped":
-            raise ValueError(f"unknown error law {self.error_law!r}")
         theta = np.atleast_1d(np.asarray(self.theta_true, dtype=float))
         alpha = np.asarray(self.alpha_true, dtype=float)
         sigma = np.atleast_1d(np.asarray(self.sigma_true, dtype=float))

@@ -435,30 +435,32 @@ def _assign(data, theta, alpha, sigma, config):
     return _frozen(np.argmin(crit, axis=1) + 1), crit
 
 
-def _repair_empty(labels, crit):
-    """Move worst-fit units into empty groups, one per empty group.
+def _repair_empty(labels, crit, min_size=1):
+    """Move worst-fit units into groups with fewer than ``min_size`` members.
 
-    The donor is the movable unit whose assigned-group criterion value is
-    largest; its residual profile becomes the seed for the empty group once
-    parameters are refreshed.  Ascending group order, ties to the lowest
-    unit index.  ``crit`` has one column per group; ``labels`` is returned
-    as is when no group is empty, else a repaired copy.
+    The donor is the movable unit (its group keeps ``min_size`` members
+    without it) whose assigned-group criterion value is largest; its
+    residual profile becomes the seed for the group once parameters are
+    refreshed.  Ascending group order, ties to the lowest unit index.
+    ``crit`` has one column per group; ``labels`` is returned as is when no
+    group is short, else a repaired copy.
     """
     counts = np.bincount(labels - 1, minlength=crit.shape[1])
-    if not np.any(counts == 0):
+    if not np.any(counts < min_size):
         return labels
     labels = labels.copy()
     n = labels.shape[0]
-    for g in np.nonzero(counts == 0)[0] + 1:
-        assigned = crit[np.arange(n), labels - 1]
-        movable = counts[labels - 1] > 1
-        if not np.any(movable):
-            raise EmptyGroupError([g])
-        candidate = np.where(movable, assigned, -np.inf)
-        i_star = int(np.argmax(candidate))
-        counts[labels[i_star] - 1] -= 1
-        labels[i_star] = g
-        counts[g - 1] += 1
+    for g in np.nonzero(counts < min_size)[0] + 1:
+        while counts[g - 1] < min_size:
+            assigned = crit[np.arange(n), labels - 1]
+            movable = counts[labels - 1] > min_size
+            if not np.any(movable):
+                raise EmptyGroupError([g])
+            candidate = np.where(movable, assigned, -np.inf)
+            i_star = int(np.argmax(candidate))
+            counts[labels[i_star] - 1] -= 1
+            labels[i_star] = g
+            counts[g - 1] += 1
     return _frozen(labels)
 
 

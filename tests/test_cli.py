@@ -160,7 +160,8 @@ class TestEstimateCommand:
         assert doc["result"]["mode"] == "ggfe"
         jsonschema.validate(doc, load_schema("estimate"))
 
-    def test_same_seed_gives_identical_json_modulo_timestamp(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe", "ggfe"])
+    def test_same_seed_gives_identical_json_modulo_timestamp(self, tmp_path, mode):
         data, _ = clustered_fixture(noise_scale=0.3, seed=4)
         panel = write_panel(tmp_path / "panel.csv", data)
         docs = []
@@ -168,7 +169,7 @@ class TestEstimateCommand:
             out = tmp_path / name
             rc = main(
                 ["estimate", panel, "--seed", "7", "--restarts", "4",
-                 "--out", str(out)]
+                 "--mode", mode, "--out", str(out)]
             )
             assert rc == 0
             doc = json.loads(out.read_text())
@@ -287,6 +288,11 @@ class TestSimulateCommand:
         path.write_text(json.dumps({"n_units": 10}))
         rc = main(["simulate", str(path), "--replications", "2"])
         assert rc == 2
+        spec = self.write_spec(tmp_path, error_law="cauchy")
+        rc = main(["simulate", spec, "--replications", "2"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "error law" in err["error"]["message"]
 
 
 class TestSelectGCommand:

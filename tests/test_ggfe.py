@@ -25,6 +25,7 @@ from wgfe.model import (
     PanelDataset,
     gfe_objective,
     group_ssr,
+    update_alpha,
     wgfe_objective,
 )
 from wgfe.solvers import SolverConfig, initialize, lloyd
@@ -500,6 +501,12 @@ class TestGgfeDescent:
             np.testing.assert_allclose(res.breakdown.per_group_ssr, q, rtol=1e-12)
             np.testing.assert_allclose(
                 res.params.sigma, np.maximum(np.sqrt(q), 1e-30), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                res.params.alpha,
+                update_alpha(data, res.params.theta, res.assignment),
+                rtol=0,
+                atol=1e-12,
             )
 
     def test_gradient_failure_at_a_regular_grouping_propagates(self, rng, monkeypatch):

@@ -59,10 +59,6 @@ class TestSimulationSpec:
         with pytest.raises(ValueError, match="lag coefficient"):
             two_group_spec(theta_true=[1.0, 0.2], dynamic=True)
 
-    def test_rejects_unknown_error_law(self):
-        with pytest.raises(ValueError, match="error law"):
-            two_group_spec(error_law="cauchy")
-
     def test_ar1_law_requires_stationary_rho(self):
         with pytest.raises(ValueError, match="rho"):
             AR1Covariates(rho=1.0, innovation_sd=1.0)
