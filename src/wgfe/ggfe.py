@@ -4,13 +4,12 @@ The scale-weighted estimator treats within-group dispersion as a scalar.
 This module generalizes it: each group carries a dense T-by-T residual
 covariance, the criterion is the trace of the Bures-Wasserstein barycenter
 of those covariances, units are reassigned along the criterion's exact
-assignment derivative, and slopes are refitted with effects profiled out.
+assignment derivative, and slopes are refitted by majorize-minimize GLS steps.
 
 Gradients build T^2-by-T^2 Kronecker operators, so they are meant for
 short panels (T up to about 16).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,11 @@ from .model import (
     GroupAssignment,
     PanelDataset,
     _clamped_sigma,
+    _demean_by_group,
     _profile_distances,
     group_ssr,
     residual_profiles,
     sigma_floor,
-    within_group_means,
 )
 from .solvers import (
     EstimationResult,
@@ -42,9 +41,6 @@ from .solvers import (
 
 EPS_EIG = 1e-10
 """Relative eigenvalue floor (times trace/T) for matrix square roots."""
-
-INNER_EVAL_BUDGET = 50
-"""Criterion evaluations allowed per slope refit in the descent."""
 
 
 def _sym(a):
@@ -270,6 +266,15 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     )
 
 
+def _criterion_at(data, theta, alpha, assignment):
+    """ggfe_objective's value, barycenter (None at zero), covariances and masses."""
+    covs, weights = group_covariances(data, theta, alpha, assignment)
+    if max(c.trace for c in covs) <= 0.0:
+        return 0.0, None, covs, weights
+    omega = barycenter_fixed_point(covs, weights)
+    return omega.trace, omega, covs, weights
+
+
 def ggfe_objective(data, theta, alpha, assignment) -> float:
     """Trace of the barycenter of the group residual covariances.
 
@@ -277,10 +282,7 @@ def ggfe_objective(data, theta, alpha, assignment) -> float:
     a mix of zero and nonzero covariances is not solvable and propagates
     ``NonSpdError`` from the barycenter.
     """
-    covs, weights = group_covariances(data, theta, alpha, assignment)
-    if max(c.trace for c in covs) <= 0.0:
-        return 0.0
-    return barycenter_fixed_point(covs, weights).trace
+    return _criterion_at(data, theta, alpha, assignment)[0]
 
 
 def _pair_inverse(evecs, roots):
@@ -290,31 +292,26 @@ def _pair_inverse(evecs, roots):
     return (uu / denom) @ uu.T
 
 
-def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
-    """Exact partial derivatives of the criterion in the membership weights.
+def _covariance_derivatives(omega, covs, weights):
+    """Matrices ``t_g`` with ``d tr(Omega) / d S_g = w_g t_g`` at the barycenter.
 
-    Entry (i, g) is the derivative of the barycenter trace in unit i's
-    weight on group g, holding the other raw weights fixed.  It contracts
-    ``vec(I)' W_g vec(v_i v_i' + S_g)`` where ``W_g`` chains the resolvent
-    of the barycenter fixed point with the square-root derivative of group
-    g, all built from Kronecker products of eigendecompositions.  Rows on
-    the simplex can be compared with renormalized finite differences after
-    projecting out the within-row mean.
+    ``t_g`` contracts ``vec(I)'`` with the resolvent of the barycenter fixed
+    point and the square-root derivative of group g, all built from
+    Kronecker products of eigendecompositions.  Raises
+    ``IllConditionedError`` when a factor ``Omega^{1/2} S_g Omega^{1/2}``
+    has an eigenvalue below the relative floor (near-zero residuals, groups
+    smaller than T).
     """
-    if not isinstance(soft, SoftAssignment):
-        raise TypeError("assignment_gradient needs a SoftAssignment")
-    covs, weights = group_covariances(data, theta, alpha, soft)
-    omega = barycenter_fixed_point(covs, weights)
-    t, n, g = omega.dim, data.n_units, soft.n_groups
+    t = omega.dim
     lam = np.sqrt(omega.clamped_eigenvalues())
     root = omega.sqrt()
     k_omega = _pair_inverse(omega._evecs, lam)
     eye = np.eye(t)
-    sigs = [c.clamped() for c in covs]
     k_groups = []
     mixing = np.zeros((t * t, t * t))
-    for h in range(g):
-        a_h = _sym(root @ sigs[h] @ root)
+    for h, cov in enumerate(covs):
+        sig = cov.clamped()
+        a_h = _sym(root @ sig @ root)
         d, u = np.linalg.eigh(a_h)
         floor = _eig_floor(a_h)
         if d[0] < floor:
@@ -324,84 +321,87 @@ def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
             )
         k_h = _pair_inverse(u, np.sqrt(d))
         k_groups.append(k_h)
-        rs = root @ sigs[h]
+        rs = root @ sig
         b_h = np.kron(rs, eye) + np.kron(eye, rs)
         mixing += weights[h] * (k_h @ b_h @ k_omega)
-    lhs = np.eye(t * t) - mixing
-    lead = np.linalg.solve(lhs.T, eye.ravel())
+    lead = np.linalg.solve((np.eye(t * t) - mixing).T, eye.ravel())
     big_root = np.kron(root, root)
+    return [_sym((big_root @ (k @ lead)).reshape(t, t, order="F")) for k in k_groups]
+
+
+def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
+    """Exact partial derivatives of the criterion in the membership weights.
+
+    Entry (i, g) is the derivative of the barycenter trace in unit i's
+    weight on group g, holding the other raw weights fixed.  It is
+    ``(v_i' t_g v_i + <t_g, S_g>) / N`` for unit i's residual ``v_i``
+    against group g's effect row, with ``t_g`` from the covariance
+    derivative ``d tr(Omega) / d S_g = w_g t_g``.  Rows on the simplex can
+    be compared with renormalized finite differences after projecting out
+    the within-row mean.
+    """
+    if not isinstance(soft, SoftAssignment):
+        raise TypeError("assignment_gradient needs a SoftAssignment")
+    covs, weights = group_covariances(data, theta, alpha, soft)
+    omega = barycenter_fixed_point(covs, weights)
+    n = data.n_units
     v = residual_profiles(data, theta)
-    grad = np.empty((n, g))
-    for k in range(g):
-        t_k = _sym((big_root @ (k_groups[k] @ lead)).reshape(t, t, order="F"))
+    grad = np.empty((n, soft.n_groups))
+    for k, t_k in enumerate(_covariance_derivatives(omega, covs, weights)):
         r = v - np.asarray(alpha, dtype=float)[k]
         quad = np.einsum("it,ts,is->i", r, t_k, r)
-        grad[:, k] = (quad + float((t_k * sigs[k]).sum())) / n
+        grad[:, k] = (quad + float((t_k * covs[k].clamped()).sum())) / n
     return grad
 
 
-def _guarded_objective(data, theta, alpha, gamma):
-    """Criterion value at a hard grouping, tolerant of degenerate groups.
-
-    A group fitted exactly has a zero covariance; when every group is
-    degenerate the criterion is zero.  Used inside the numerical refit:
-    isolated degenerate groups are floored to a small multiple of the
-    identity and barycenter failures score as infinity, so the search can
-    route around them.
-    """
-    covs, weights = group_covariances(data, theta, alpha, gamma)
-    traces = [c.trace for c in covs]
-    top = max(traces)
-    if top <= 0.0:
-        return 0.0
-    t = covs[0].dim
-    if min(traces) <= 0.0:
-        floor = EPS_EIG * top / t
-        covs = tuple(
-            c if c.definite else SpdMatrix(floor * np.eye(t)) for c in covs
-        )
-    try:
-        return barycenter_fixed_point(covs, weights).trace
-    except (NonSpdError, NonConvergenceError):
-        return np.inf
-
-
 def _inner_update(data, gamma, kernel, theta_seed):
-    """Refit the slopes at a fixed grouping, with the effects profiled out.
+    """Refit the slopes at a fixed grouping by a majorize-minimize fixed point.
 
-    The effects are the group means at the slopes, ``ybar_g - xbar_g theta``.
-    Seeds at the kernel's scale-weighted slopes for the grouping, then runs a
-    Powell search over the slopes alone capped at ``INNER_EVAL_BUDGET``
-    criterion evaluations, keeping the better of seed and search.
+    The effects are the group means at the slopes, so residuals are the
+    group-demeaned ``yt_i - xt_i theta``.  From the kernel's scale-weighted
+    slopes, each step takes ``t_g`` (:func:`_covariance_derivatives`) at the
+    current slopes and solves the p-by-p GLS problem ``theta <- argmin
+    sum_g sum_{i in g} (yt_i - xt_i theta)' t_g (yt_i - xt_i theta)``: the
+    criterion is concave in the covariances, so this tangent majorizes it.
+    Stops when the step is at most ``fp_tol * (1 + |theta|)`` or after
+    ``fp_max_iters`` steps; a step whose value rises by more than 1e-12
+    relative ends at the previous slopes, an ill-conditioned derivative at
+    the current ones.  p = 0 takes no step.  Returns ``(theta, alpha,
+    value)`` with the :func:`ggfe_objective` value; a start that fits a
+    group exactly beside nonzero covariances raises ``NonSpdError``.
     """
     try:
-        theta0 = kernel.fit(gamma.labels, theta_seed)[0]
+        theta = kernel.fit(gamma.labels, theta_seed)[0]
     except NonConvergenceError as exc:
-        theta0 = exc.last_iterate[0]
-    means = within_group_means(data, gamma)
+        theta = exc.last_iterate[0]
+    idx = gamma.labels - 1
+    ybar, xbar, yt, xt = _demean_by_group(data, idx, gamma.counts())
+    # per-group cross products of z_i = [yt_i, xt_i], as (G, T, 1 + p, T, 1 + p)
+    z = np.concatenate([yt[:, :, None], xt], axis=2)
+    zs = [z[idx == g] for g in range(gamma.n_groups)]
+    cross = np.stack([np.tensordot(zg, zg, (0, 0)) for zg in zs])
 
     def effects(theta):
-        return means.outcomes - means.covariates @ theta
+        return ybar - xbar @ theta
 
-    def crit(theta):
-        return _guarded_objective(data, theta, effects(theta), gamma)
-
-    from scipy.optimize import minimize
-
-    f0 = crit(theta0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = minimize(
-            crit,
-            theta0,
-            method="Powell",
-            options={"maxfev": INNER_EVAL_BUDGET, "xtol": 1e-8, "ftol": 1e-10},
-        )
-    if np.isfinite(out.fun) and out.fun < f0:
-        theta, value = out.x, float(out.fun)
-    else:
-        theta, value = theta0, f0
-    return theta, effects(theta), value
+    state = _criterion_at(data, theta, effects(theta), gamma)
+    for _ in range(kernel.config.fp_max_iters if theta.size else 0):
+        if state[1] is None:
+            break  # every group fitted exactly: the criterion is zero
+        try:
+            ts = np.stack(_covariance_derivatives(*state[1:]))
+        except IllConditionedError:
+            break
+        m = np.einsum("gts,gtasb->ab", ts, cross)
+        step_to = np.linalg.solve(m[1:, 1:], m[1:, 0])
+        step = _criterion_at(data, step_to, effects(step_to), gamma)
+        if step[0] > state[0] * (1.0 + 1e-12):
+            break
+        size = np.linalg.norm(step_to - theta)
+        theta, state = step_to, step
+        if size <= kernel.config.fp_tol * (1.0 + np.linalg.norm(theta)):
+            break
+    return theta, effects(theta), state[0]
 
 
 def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
@@ -414,12 +414,14 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     row, and a zero covariance beside nonzero ones has no criterion value.
     Stops at an assignment fixed point or after ``max_lloyd_iters`` rounds.
 
-    Two guarded stops keep the loop a descent: a round whose refit value
-    rises above the incumbent is rolled back and treated as terminal (the
-    derivative step is linearized, so it can overshoot), and a grouping
-    whose covariances are too degenerate for a stable derivative (zero or
-    near-zero residuals, groups smaller than T) ends the search at the
-    incumbent.
+    Guarded stops keep the loop a descent of :func:`ggfe_objective`
+    values.  A round is rolled back and ends the search when its refit
+    value rises above the incumbent (the derivative step is linearized, so
+    it can overshoot) or its grouping fits a group exactly beside nonzero
+    covariances, which has no criterion value; at the start that raises
+    ``NonSpdError``.  A zero criterion, or covariances too degenerate for a
+    stable derivative (near-zero residuals, groups smaller than T), ends
+    the search at the incumbent.
     ``trace`` records the refit value per round and is non-increasing.
     """
     if config.mode != "ggfe":
@@ -436,38 +438,36 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     kernel = _Kernel(data, config)
     best = None
     trace = []
-    converged = False
+    converged = True
     n_iters = 0
     for it in range(config.max_lloyd_iters):
         n_iters = it + 1
-        theta, alpha, value = _inner_update(data, gamma, kernel, theta_seed=theta)
-        if not np.isfinite(value):
-            value = ggfe_objective(data, theta, alpha, gamma)
+        try:
+            theta, alpha, value = _inner_update(data, gamma, kernel, theta_seed=theta)
+        except NonSpdError:
+            if best is None:
+                raise
+            break
         if best is not None and value > best[3] + 1e-12 * (1.0 + abs(best[3])):
-            theta, alpha, gamma, value = best
-            converged = True
             break
         trace.append(value)
         best = (theta, alpha, gamma, value)
-        covs, _ = group_covariances(data, theta, alpha, gamma)
-        if min(c.trace for c in covs) <= 0.0:
-            # an exactly fitted group has a zero covariance and no derivative
-            converged = True
-            break
+        if value <= 0.0:
+            break  # every group is fitted exactly: zero covariances have no derivative
         try:
             grad = assignment_gradient(
                 data, theta, alpha, SoftAssignment.from_hard(gamma)
             )
         except IllConditionedError:
-            converged = True
             break
         gamma_next = GroupAssignment(
             _repair_empty(np.argmin(grad, axis=1) + 1, grad, min_size=2), config.n_groups
         )
         if gamma_next.same_as(gamma):
-            converged = True
             break
         gamma = gamma_next
+    else:
+        converged = False
     theta, alpha, gamma, value = best
     q = group_ssr(data, theta, alpha, gamma)
     state = (theta, alpha, _clamped_sigma(q, sigma_floor(data)), q, value)

@@ -425,13 +425,34 @@ class TestOutputHygiene:
 
     def test_importing_the_cli_leaves_scipy_unloaded(self):
         # SciPy is imported only where a command needs it
-        src = str(Path(wgfe.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, wgfe.cli; print('scipy' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
+        assert scipy_loaded_after() is False
+
+    def test_ggfe_estimate_leaves_scipy_unloaded(self, tmp_path):
+        data, _ = clustered_fixture(noise_scale=0.3, n=20)
+        panel = write_panel(tmp_path / "panel.csv", data)
+        out = str(tmp_path / "out.json")
+        args = ["estimate", panel, "--mode", "ggfe", "--groups", "2", "--out", out]
+        assert scipy_loaded_after(*args) is False
+
+
+def scipy_loaded_after(*args):
+    """Whether a fresh interpreter has SciPy loaded after ``wgfe`` runs ``args``.
+
+    With no arguments the interpreter only imports the CLI.
+    """
+    src = str(Path(wgfe.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    code = (
+        "import sys, wgfe.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert wgfe.cli.main(sys.argv[1:]) == 0\n"
+        "print('scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return {"True": True, "False": False}[out.stdout.strip()]

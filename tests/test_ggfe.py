@@ -27,8 +27,9 @@ from wgfe.model import (
     group_ssr,
     update_alpha,
     wgfe_objective,
+    within_group_means,
 )
-from wgfe.solvers import SolverConfig, initialize, lloyd
+from wgfe.solvers import SolverConfig, _Kernel, initialize, lloyd
 
 from conftest import make_grouped_dataset
 
@@ -524,3 +525,125 @@ class TestGgfeDescent:
         data, _, _ = make_grouped_dataset(rng, n=10, t=3, p=1)
         with pytest.raises(ValueError):
             ggfe_descent(data, SolverConfig(mode="wgfe", n_groups=2))
+
+    def test_answers_are_stable_under_last_digit_perturbations(self):
+        # a refit stopped by an evaluation budget moved theta by 1.5e-4 here
+        r = np.random.default_rng(2)
+        data, _, _ = make_grouped_dataset(
+            r, n=80, t=4, p=2, theta=[0.5, -0.3], sigma=[0.4, 1.2]
+        )
+        cfg = SolverConfig(mode="ggfe", n_groups=2, seed=2)
+        res = ggfe_descent(data, cfg)
+        nudged = PanelDataset(data.outcomes * (1.0 + 2.0**-50), data.covariates)
+        other = ggfe_descent(nudged, cfg)
+        assert np.array_equal(res.assignment.labels, other.assignment.labels)
+        assert np.abs(res.params.theta - other.params.theta).max() <= 1e-7
+        assert abs(res.objective - other.objective) <= 1e-12 * res.objective
+
+    def test_identical_pair_at_the_start_raises(self):
+        # the start isolates two units with one residual path: a zero
+        # covariance beside a nonzero one has no criterion value
+        data = identical_pair_panel()
+        with pytest.raises(NonSpdError):
+            ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=3))
+
+    def test_identical_pair_after_a_step_rolls_back(self, monkeypatch):
+        # the start with seed 0 mixes the pair with other units; the step
+        # then isolates it
+        data = identical_pair_panel()
+        cfg = SolverConfig(mode="ggfe", n_groups=2, seed=0)
+
+        def isolate_pair(data, theta, alpha, soft):
+            grad = np.zeros((data.n_units, 2))
+            grad[:2, 0] = grad[2:, 1] = 1.0
+            return grad
+
+        monkeypatch.setattr(ggfe, "assignment_gradient", isolate_pair)
+        res = ggfe_descent(data, cfg)
+        assert res.n_lloyd_iters == 2 and len(res.trace) == 1
+        assert res.assignment.counts().min() > 2
+        assert res.objective == ggfe_objective(
+            data, res.params.theta, res.params.alpha, res.assignment
+        )
+
+
+def identical_pair_panel():
+    """Two noisy groups plus units 0 and 1 sharing one residual path far away."""
+    r = np.random.default_rng(5)
+    n, t = 16, 3
+    labels = np.repeat([1, 2], n // 2)
+    alpha = np.array([[0.0, 1.0, -1.0], [6.0, 7.0, 5.0]])
+    x = r.standard_normal((n, t, 1))
+    y = 0.8 * x[:, :, 0] + alpha[labels - 1] + 0.5 * r.standard_normal((n, t))
+    x[1], y[1] = x[0], y[0] + 40.0
+    y[0] += 40.0
+    return PanelDataset(y, x)
+
+
+def refit(data, gamma):
+    """The descent's slope refit at a fixed grouping, from the pooled slopes."""
+    kernel = _Kernel(data, SolverConfig(mode="ggfe", n_groups=gamma.n_groups))
+    return ggfe._inner_update(data, gamma, kernel, theta_seed=None)
+
+
+def heteroskedastic_panel(seed, p, n=60, t=4):
+    r = np.random.default_rng(seed)
+    return make_grouped_dataset(
+        r, n=n, t=t, p=p, theta=np.linspace(0.5, -0.3, p), sigma=[0.4, 1.2]
+    )
+
+
+class TestSlopeRefit:
+    def test_values_never_rise(self, monkeypatch):
+        values = []
+        criterion_at = ggfe._criterion_at
+
+        def recorded(*args):
+            out = criterion_at(*args)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(ggfe, "_criterion_at", recorded)
+        for seed in range(4):
+            data, truth, _ = heteroskedastic_panel(seed, p=2)
+            values.clear()
+            value = refit(data, truth)[2]
+            assert len(values) >= 3
+            steps = np.diff(values)
+            assert np.all(steps <= 1e-12 * np.abs(values[:-1]))
+            assert value <= min(values) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_an_uncapped_powell_search(self, p):
+        from scipy.optimize import minimize
+
+        for seed in range(3):
+            data, truth, _ = heteroskedastic_panel(seed, p=p)
+            theta, alpha, value = refit(data, truth)
+            means = within_group_means(data, truth)
+
+            def crit(th):
+                return ggfe_objective(
+                    data, th, means.outcomes - means.covariates @ th, truth
+                )
+
+            options = {"xtol": 1e-10, "ftol": 1e-15}
+            ref = minimize(crit, np.zeros(p), method="Powell", options=options)
+            assert ref.success
+            assert abs(value - ref.fun) <= 1e-10 * ref.fun
+            assert value == crit(theta)
+            np.testing.assert_allclose(
+                alpha, update_alpha(data, theta, truth), rtol=0, atol=1e-12
+            )
+
+    def test_no_slopes_take_no_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a refit without slopes took a step")
+
+        monkeypatch.setattr(ggfe, "_covariance_derivatives", no_step)
+        data, truth, _ = heteroskedastic_panel(0, p=0)
+        theta, alpha, value = refit(data, truth)
+        assert theta.shape == (0,)
+        means = within_group_means(data, truth)
+        np.testing.assert_array_equal(alpha, means.outcomes)
+        assert value == ggfe_objective(data, theta, alpha, truth)
