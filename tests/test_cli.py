@@ -91,6 +91,20 @@ class TestIngestCsv:
         assert info.value.line == 2
         assert info.value.column == "x1"
 
+    def test_infinite_time_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,y\na,1,1.0\na,inf,2.0\nb,1,3.0\nb,inf,4.0\n")
+        with pytest.raises(ParseError, match="inf") as info:
+            ingest_csv(path)
+        assert (info.value.line, info.value.column) == (3, "time")
+
+    def test_nan_time_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,y\na,1,1.0\na,nan,2.0\nb,1,3.0\nb,nan,4.0\n")
+        with pytest.raises(ParseError, match="nan") as info:
+            ingest_csv(path)
+        assert (info.value.line, info.value.column) == (3, "time")
+
     def test_bad_header_is_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,period,outcome\n1,1,1.0\n")
@@ -279,6 +293,29 @@ class TestSimulateCommand:
         assert seen == {(str(t), e) for t in (2, 4, 8) for e in ("wgfe", "gfe")}
         for row in body:
             assert 0.0 <= float(row[2]) <= 1.0
+
+    @pytest.mark.parametrize("periods", ["4,x", "4,0", ""])
+    def test_bad_curve_periods_exit_two_before_any_output(self, tmp_path, periods):
+        spec = self.write_spec(tmp_path)
+        out = tmp_path / "study.json"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", spec, "--replications", "2", "--out", str(out),
+                  "--curves", str(tmp_path / "c.csv"), "--curve-periods", periods])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    def test_one_group_curves_exit_two_before_any_output(self, tmp_path, capsys):
+        spec = self.write_spec(
+            tmp_path, n_groups=1, alpha_true=[[0.0] * 4], sigma_true=[1.0],
+            group_probs=[1.0],
+        )
+        out = tmp_path / "study.json"
+        rc = main(["simulate", spec, "--replications", "2", "--out", str(out),
+                   "--curves", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "two groups" in err["error"]["message"]
 
     def test_bad_spec_json_maps_to_exit_two(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -370,15 +370,6 @@ class TestAssignments:
         b = gfe_assign(data, theta, alpha)
         np.testing.assert_array_equal(a.labels, b.labels)
 
-    def test_eq6_variant_same_argmin(self, rng):
-        data = make_dataset(rng, n=60, t=5, p=1)
-        theta = rng.standard_normal(1)
-        alpha = rng.standard_normal((3, 5))
-        sigma = rng.uniform(0.1, 3.0, size=3)
-        a = wgfe_assign(data, theta, alpha, sigma, rule="alg1")
-        b = wgfe_assign(data, theta, alpha, sigma, rule="eq6")
-        np.testing.assert_array_equal(a.labels, b.labels)
-
     def test_unknown_rule_rejected(self, rng):
         data = make_dataset(rng, n=2, t=2, p=0)
         with pytest.raises(ValueError, match="rule"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wgfe import solvers
-from wgfe.errors import EmptyGroupError, NonConvergenceError
+from wgfe.errors import EmptyGroupError, NonConvergenceError, SingularDesignError
 from wgfe.model import (
     GroupAssignment,
     GroupParameters,
@@ -63,8 +63,6 @@ class TestSolverConfig:
             {"n_restarts": 0},
             {"fp_tol": 0.0},
             {"assignment_rule": "fast"},
-            {"init_strategy": "oracle"},
-            {"init_strategy": "provided"},
             {"n_threads": 0},
             {"vns_neigh_max": -1},
         ],
@@ -366,23 +364,37 @@ class TestInitialize:
         params = initialize(data, SolverConfig(n_groups=2), np.random.default_rng(0))
         assert params.theta[0] == pytest.approx(2.0, abs=0.05)
 
-    @pytest.mark.parametrize("strategy", ["two_way_fe", "random"])
-    def test_other_strategies_produce_valid_params(self, rng, strategy):
-        data = make_dataset(rng, n=9, t=4, p=2)
-        cfg = SolverConfig(n_groups=2, init_strategy=strategy)
-        params = initialize(data, cfg, np.random.default_rng(3))
-        assert params.alpha.shape == (2, 4)
-        assert np.all(params.sigma > 0)
+    def test_singular_pooled_ols_start_falls_back_to_zero_slopes(self, rng):
+        # an all-zero covariate: the start warns and uses zero slopes; every
+        # grouped fit is singular too, so each restart fails at its first fit
+        data = make_dataset(rng, n=20, t=4, p=2)
+        x = data.covariates.copy()
+        x[:, :, 1] = 0.0
+        data = PanelDataset(data.outcomes, x)
+        cfg = SolverConfig(n_groups=2, n_restarts=2, vns_iter_max=2)
+        with pytest.warns(UserWarning, match="singular"):
+            params = initialize(data, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(params.theta, np.zeros(2))
+        with pytest.warns(UserWarning, match="singular"):
+            with pytest.raises(NonConvergenceError) as info:
+                multi_start(data, cfg)
+        assert isinstance(info.value.__cause__, SingularDesignError)
 
-    def test_provided_passthrough_and_validation(self, rng):
-        data = make_dataset(rng, n=6, t=3, p=1)
-        good = GroupParameters(np.zeros(1), np.zeros((2, 3)), [1.0, 1.0], [0.5, 0.5])
-        cfg = SolverConfig(n_groups=2, init_strategy="provided", initial_params=good)
-        assert initialize(data, cfg, np.random.default_rng(0)) is good
-        bad = GroupParameters(np.zeros(1), np.zeros((3, 3)), np.ones(3), np.ones(3) / 3)
-        cfg = SolverConfig(n_groups=2, init_strategy="provided", initial_params=bad)
-        with pytest.raises(ValueError, match="match"):
-            initialize(data, cfg, np.random.default_rng(0))
+    def test_search_runs_from_the_zero_slope_fallback(self, rng):
+        # a covariate offset by 1e6 makes the pooled design numerically
+        # singular, while the group-demeaned designs of the search are not
+        x = rng.standard_normal((20, 4, 2))
+        x[:, :, 0] += 1e6
+        data = PanelDataset(rng.standard_normal((20, 4)), x)
+        cfg = SolverConfig(n_groups=2, n_restarts=2, vns_iter_max=2)
+        with pytest.warns(UserWarning, match="singular"):
+            np.testing.assert_array_equal(
+                initialize(data, cfg, np.random.default_rng(0)).theta, np.zeros(2)
+            )
+        with pytest.warns(UserWarning, match="singular"):
+            res = multi_start(data, cfg)
+        assert res.n_restarts_used == 2
+        assert res.objective == pytest.approx(recompute_objective(data, res), rel=1e-9)
 
     def test_too_few_units_raises(self, rng):
         data = make_dataset(rng, n=2, t=3, p=0)
