@@ -63,6 +63,8 @@ class TestSolverConfig:
             {"n_restarts": 0},
             {"fp_tol": 0.0},
             {"assignment_rule": "fast"},
+            {"max_lloyd_iters": 0},
+            {"fp_max_iters": 0},
             {"n_threads": 0},
             {"vns_neigh_max": -1},
         ],
