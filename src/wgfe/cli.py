@@ -38,6 +38,7 @@ from .ggfe import ggfe_descent
 from .inference import homoskedasticity_test, select_n_groups, variance_estimates
 from .model import PanelDataset
 from .simlab import (
+    SIGMA_CLAMP,
     AR1Covariates,
     FixedCovariates,
     SimulationSpec,
@@ -301,8 +302,8 @@ def _write_curves(spec, seed, periods, path):
     """
     a1 = float(spec.alpha_true[0].mean())
     a2 = float(spec.alpha_true[1].mean())
-    s1 = float(max(spec.sigma_true[0], 1e-12))
-    s2 = float(max(spec.sigma_true[1], 1e-12))
+    s1 = float(max(spec.sigma_true[0], SIGMA_CLAMP))
+    s2 = float(max(spec.sigma_true[1], SIGMA_CLAMP))
     rng = np.random.default_rng(seed)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -57,6 +57,16 @@ def _eig_rebuild(evecs, lam):
     return _sym((evecs * lam) @ evecs.T)
 
 
+def _psd_root_eig(a):
+    """``(U, lam)`` with ``_eig_rebuild(U, lam)`` the floored root of symmetric ``a``.
+
+    ``lam`` is the root of the eigenvalues floored at :func:`_eig_floor`;
+    ``_eig_rebuild(U, 1 / lam)`` is the inverse root.
+    """
+    evals, evecs = np.linalg.eigh(a)
+    return evecs, np.sqrt(np.maximum(evals, _eig_floor(a)))
+
+
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """A symmetric positive semidefinite matrix with a cached spectrum.
@@ -65,7 +75,8 @@ class SpdMatrix:
     near-positivity (eigenvalues above -1e-10 times the trace).  Square
     roots clamp eigenvalues at ``EPS_EIG * trace / dim``, so rank-deficient
     covariances from small groups stay usable; a matrix with zero trace has
-    no usable root and reports itself as not definite.
+    no usable root and reports itself as not definite.  Barycenter inputs
+    and results are checked this way; its iterates are plain arrays.
     """
 
     values: np.ndarray
@@ -209,21 +220,17 @@ def group_covariances(data, theta, alpha, assignment):
     return tuple(covs), counts / n
 
 
-def _sqrtm_psd(a):
-    """Principal square root with the relative eigenvalue floor."""
-    a = _sym(a)
-    evals, evecs = np.linalg.eigh(a)
-    return _eig_rebuild(evecs, np.sqrt(np.maximum(evals, _eig_floor(a))))
-
-
 def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     """Bures-Wasserstein barycenter of SPD matrices by fixed-point iteration.
 
     Iterates ``O <- O^{-1/2} (sum_g w_g (O^{1/2} S_g O^{1/2})^{1/2})^2
     O^{-1/2}`` from the identity and stops when the fixed-point residual
     ``||O - sum_g w_g (O^{1/2} S_g O^{1/2})^{1/2}||_F / ||O||_F`` drops
-    below ``tol``.  Inputs are eigenvalue-clamped first; a matrix with
-    nonpositive trace cannot be clamped into SPD and raises ``NonSpdError``.
+    below ``tol``.  Inputs are checked as :class:`SpdMatrix` and
+    eigenvalue-clamped first; a matrix with nonpositive trace cannot be
+    clamped into SPD and raises ``NonSpdError``.  The iterates are plain
+    arrays; the result is an :class:`SpdMatrix`, and a stall raises
+    ``NonConvergenceError`` with the last iterate.
     """
     covs = [c if isinstance(c, SpdMatrix) else SpdMatrix(c) for c in covariances]
     if not covs:
@@ -242,22 +249,23 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     sigs = [c.clamped() for c in covs]
-    omega = SpdMatrix(np.eye(t))
+    omega = np.eye(t)
     residual = np.inf
     for _ in range(max_iters):
-        root = omega.sqrt()
+        evecs, lam = _psd_root_eig(omega)
+        root = _eig_rebuild(evecs, lam)
         mean_root = np.zeros((t, t))
         for w, sig in zip(weights, sigs):
             if w > 0.0:
-                mean_root += w * _sqrtm_psd(root @ sig @ root)
-        residual = np.linalg.norm(omega.values - mean_root) / np.linalg.norm(omega.values)
+                mean_root += w * _eig_rebuild(*_psd_root_eig(_sym(root @ sig @ root)))
+        residual = np.linalg.norm(omega - mean_root) / np.linalg.norm(omega)
         if residual < tol:
-            return omega
-        inv_root = omega.inv_sqrt()
-        omega = SpdMatrix(_sym(inv_root @ mean_root @ mean_root @ inv_root))
+            return SpdMatrix(omega)
+        inv_root = _eig_rebuild(evecs, 1.0 / lam)
+        omega = _sym(inv_root @ mean_root @ mean_root @ inv_root)
     raise NonConvergenceError(
         f"barycenter iteration stalled (relative residual {residual:.3e})",
-        last_iterate=omega.values,
+        last_iterate=omega,
         residual=residual,
     )
 
@@ -325,6 +333,18 @@ def _covariance_derivatives(omega, covs, weights):
     return [_sym((big_root @ (k @ lead)).reshape(t, t, order="F")) for k in k_groups]
 
 
+def _membership_derivatives(data, theta, alpha, omega, covs, weights):
+    """:func:`assignment_gradient` at the barycenter of ``covs`` and ``weights``."""
+    n = data.n_units
+    v = residual_profiles(data, theta)
+    grad = np.empty((n, len(covs)))
+    for k, t_k in enumerate(_covariance_derivatives(omega, covs, weights)):
+        r = v - np.asarray(alpha, dtype=float)[k]
+        quad = np.einsum("it,ts,is->i", r, t_k, r)
+        grad[:, k] = (quad + float((t_k * covs[k].clamped()).sum())) / n
+    return grad
+
+
 def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
     """Exact partial derivatives of the criterion in the membership weights.
 
@@ -334,20 +354,14 @@ def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
     against group g's effect row, with ``t_g`` from the covariance
     derivative ``d tr(Omega) / d S_g = w_g t_g``.  Rows on the simplex can
     be compared with renormalized finite differences after projecting out
-    the within-row mean.
+    the within-row mean.  :func:`ggfe_descent` takes the same rows at the
+    barycenter its slope refit ended with.
     """
     if not isinstance(soft, SoftAssignment):
         raise TypeError("assignment_gradient needs a SoftAssignment")
     covs, weights = group_covariances(data, theta, alpha, soft)
     omega = barycenter_fixed_point(covs, weights)
-    n = data.n_units
-    v = residual_profiles(data, theta)
-    grad = np.empty((n, soft.n_groups))
-    for k, t_k in enumerate(_covariance_derivatives(omega, covs, weights)):
-        r = v - np.asarray(alpha, dtype=float)[k]
-        quad = np.einsum("it,ts,is->i", r, t_k, r)
-        grad[:, k] = (quad + float((t_k * covs[k].clamped()).sum())) / n
-    return grad
+    return _membership_derivatives(data, theta, alpha, omega, covs, weights)
 
 
 def _inner_update(data, gamma, kernel, theta_seed):
@@ -363,8 +377,10 @@ def _inner_update(data, gamma, kernel, theta_seed):
     ``fp_max_iters`` steps; a step whose value rises by more than 1e-12
     relative ends at the previous slopes, an ill-conditioned derivative at
     the current ones.  p = 0 takes no step.  Returns ``(theta, alpha,
-    value)`` with the :func:`ggfe_objective` value; a start that fits a
-    group exactly beside nonzero covariances raises ``NonSpdError``.
+    state)``, where state is the final :func:`_criterion_at` tuple (value,
+    barycenter, covariances, masses) at those slopes and effects; a start
+    that fits a group exactly beside nonzero covariances raises
+    ``NonSpdError``.
     """
     try:
         theta = kernel.fit(gamma.labels, theta_seed)[0]
@@ -397,7 +413,7 @@ def _inner_update(data, gamma, kernel, theta_seed):
         theta, state = step_to, step
         if size <= kernel.config.fp_tol * (1.0 + np.linalg.norm(theta)):
             break
-    return theta, effects(theta), state[0]
+    return theta, effects(theta), state
 
 
 def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
@@ -405,9 +421,11 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
 
     Each round refits the slopes, with the effects at their group means,
     then moves every unit to the group minimizing its exact assignment
-    derivative, topping up groups left with fewer than two members from the
-    worst-scoring donors: a one-member group is fitted exactly by its effect
-    row, and a zero covariance beside nonzero ones has no criterion value.
+    derivative (:func:`assignment_gradient`, taken at the refit's final
+    barycenter), topping up groups left with fewer than two members from
+    the worst-scoring donors: a one-member group is fitted exactly by its
+    effect row, and a zero covariance beside nonzero ones has no criterion
+    value.
     Stops at an assignment fixed point or after ``max_lloyd_iters`` rounds.
 
     Guarded stops keep the loop a descent of :func:`ggfe_objective`
@@ -439,11 +457,12 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     for it in range(config.max_lloyd_iters):
         n_iters = it + 1
         try:
-            theta, alpha, value = _inner_update(data, gamma, kernel, theta_seed=theta)
+            theta, alpha, state = _inner_update(data, gamma, kernel, theta_seed=theta)
         except NonSpdError:
             if best is None:
                 raise
             break
+        value = state[0]
         if best is not None and value > best[3] + 1e-12 * (1.0 + abs(best[3])):
             break
         trace.append(value)
@@ -451,9 +470,7 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         if value <= 0.0:
             break  # every group is fitted exactly: zero covariances have no derivative
         try:
-            grad = assignment_gradient(
-                data, theta, alpha, SoftAssignment.from_hard(gamma)
-            )
+            grad = _membership_derivatives(data, theta, alpha, *state[1:])
         except IllConditionedError:
             break
         gamma_next = GroupAssignment(

@@ -764,8 +764,9 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     the same partition with its labels permuted) go to the lowest restart
     index rather than to rounding noise.  A restart that
     raises a package error or a linear-algebra failure is skipped; any other
-    exception propagates.  Raises ``NonConvergenceError`` only when every
-    restart fails.
+    exception propagates.  When every restart fails, raises the first
+    failure if all of them are ``SingularDesignError`` (a design no grouping
+    can fit), and ``NonConvergenceError`` otherwise.
     """
     streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
 
@@ -794,6 +795,8 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         ):
             best = out
     if best is None:
+        if all(isinstance(exc, SingularDesignError) for _, exc in failures):
+            raise failures[0][1]
         raise NonConvergenceError(
             f"all {config.n_restarts} restarts failed; first error: {failures[0][1]}"
         ) from failures[0][1]

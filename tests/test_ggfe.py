@@ -517,9 +517,32 @@ class TestGgfeDescent:
         def broken_gradient(*args, **kwargs):
             raise NonSpdError("matrix entries must be finite")
 
-        monkeypatch.setattr(ggfe, "assignment_gradient", broken_gradient)
+        monkeypatch.setattr(ggfe, "_membership_derivatives", broken_gradient)
         with pytest.raises(NonSpdError):
             ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=1))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_step_derivative_is_the_public_gradient(self, p):
+        # the descent differentiates at the refit's own barycenter and hard
+        # covariances; the public gradient recomputes both through the soft
+        # branch at the same slopes, effects and grouping.  Seed 0 is left
+        # out: at p = 2 it ends with a group of T units, whose covariance is
+        # singular, and the two paths then agree only to 3.8e-8
+        for seed in (1, 2, 3):
+            data, _, _ = heteroskedastic_panel(seed, p=p)
+            res = ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=seed))
+            theta, alpha, gamma = res.params.theta, res.params.alpha, res.assignment
+            assert gamma.counts().min() > data.n_periods
+            state = ggfe._criterion_at(data, theta, alpha, gamma)
+            assert state[0] == res.objective
+            step = ggfe._membership_derivatives(data, theta, alpha, *state[1:])
+            public = assignment_gradient(
+                data, theta, alpha, SoftAssignment.from_hard(gamma)
+            )
+            np.testing.assert_allclose(step, public, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(
+                np.argmin(step, axis=1), np.argmin(public, axis=1)
+            )
 
     def test_rejects_other_modes(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=10, t=3, p=1)
@@ -553,12 +576,12 @@ class TestGgfeDescent:
         data = identical_pair_panel()
         cfg = SolverConfig(mode="ggfe", n_groups=2, seed=0)
 
-        def isolate_pair(data, theta, alpha, soft):
+        def isolate_pair(data, theta, alpha, *state):
             grad = np.zeros((data.n_units, 2))
             grad[:2, 0] = grad[2:, 1] = 1.0
             return grad
 
-        monkeypatch.setattr(ggfe, "assignment_gradient", isolate_pair)
+        monkeypatch.setattr(ggfe, "_membership_derivatives", isolate_pair)
         res = ggfe_descent(data, cfg)
         assert res.n_lloyd_iters == 2 and len(res.trace) == 1
         assert res.assignment.counts().min() > 2
@@ -583,7 +606,8 @@ def identical_pair_panel():
 def refit(data, gamma):
     """The descent's slope refit at a fixed grouping, from the pooled slopes."""
     kernel = _Kernel(data, SolverConfig(mode="ggfe", n_groups=gamma.n_groups))
-    return ggfe._inner_update(data, gamma, kernel, theta_seed=None)
+    theta, alpha, state = ggfe._inner_update(data, gamma, kernel, theta_seed=None)
+    return theta, alpha, state[0]
 
 
 def heteroskedastic_panel(seed, p, n=60, t=4):

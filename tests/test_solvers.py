@@ -369,6 +369,7 @@ class TestInitialize:
     def test_singular_pooled_ols_start_falls_back_to_zero_slopes(self, rng):
         # an all-zero covariate: the start warns and uses zero slopes; every
         # grouped fit is singular too, so each restart fails at its first fit
+        # and the search reports the design, not a convergence failure
         data = make_dataset(rng, n=20, t=4, p=2)
         x = data.covariates.copy()
         x[:, :, 1] = 0.0
@@ -378,9 +379,8 @@ class TestInitialize:
             params = initialize(data, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(params.theta, np.zeros(2))
         with pytest.warns(UserWarning, match="singular"):
-            with pytest.raises(NonConvergenceError) as info:
+            with pytest.raises(SingularDesignError, match="rank deficient"):
                 multi_start(data, cfg)
-        assert isinstance(info.value.__cause__, SingularDesignError)
 
     def test_search_runs_from_the_zero_slope_fallback(self, rng):
         # a covariate offset by 1e6 makes the pooled design numerically
@@ -646,6 +646,19 @@ class TestMultiStart:
         monkeypatch.setattr(solvers, "vns", broken_vns)
         with pytest.raises(TypeError, match="bug in the search"):
             multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
+
+    def test_mixed_restart_failures_raise_non_convergence(self, rng, monkeypatch):
+        # only an all-singular run is reported as the design's fault
+        data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
+        errors = iter([SingularDesignError("rank deficient"), EmptyGroupError([2])])
+
+        def failing_vns(data, config, rng):
+            raise next(errors)
+
+        monkeypatch.setattr(solvers, "vns", failing_vns)
+        with pytest.raises(NonConvergenceError, match="all 2 restarts failed") as info:
+            multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
+        assert isinstance(info.value.__cause__, SingularDesignError)
 
     def test_result_fields(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
