@@ -5,9 +5,8 @@ This module generalizes it: each group carries a dense T-by-T residual
 covariance, the criterion is the trace of the Bures-Wasserstein barycenter
 of those covariances, units are reassigned along the criterion's exact
 assignment derivative, and slopes are refitted by majorize-minimize GLS steps.
-
-Gradients build T^2-by-T^2 Kronecker operators, so they are meant for
-short panels (T up to about 16).
+Both take the criterion's derivative in each group covariance from the
+optimal transport map between that covariance and the barycenter.
 """
 
 from dataclasses import dataclass
@@ -100,7 +99,7 @@ class SpdMatrix:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_evals", evals)
+        object.__setattr__(self, "_floored", np.maximum(evals, _eig_floor(arr)))
         object.__setattr__(self, "_evecs", evecs)
 
     @property
@@ -112,30 +111,18 @@ class SpdMatrix:
         return float(np.trace(self.values))
 
     @property
-    def eps_eig(self) -> float:
-        return _eig_floor(self.values)
-
-    @property
     def definite(self) -> bool:
         """Whether eigenvalue clamping yields a strictly positive matrix."""
         return self.trace > 0.0
 
-    def clamped_eigenvalues(self) -> np.ndarray:
-        return np.maximum(self._evals, self.eps_eig)
-
     def clamped(self) -> np.ndarray:
-        """The matrix with eigenvalues floored at ``eps_eig``."""
-        return _eig_rebuild(self._evecs, self.clamped_eigenvalues())
+        """The matrix with eigenvalues floored at ``EPS_EIG * trace / dim``."""
+        return _eig_rebuild(self._evecs, self._floored)
 
     def sqrt(self) -> np.ndarray:
         if not self.definite:
             raise NonSpdError("matrix with nonpositive trace has no usable root")
-        return _eig_rebuild(self._evecs, np.sqrt(self.clamped_eigenvalues()))
-
-    def inv_sqrt(self) -> np.ndarray:
-        if not self.definite:
-            raise NonSpdError("matrix with nonpositive trace has no usable root")
-        return _eig_rebuild(self._evecs, 1.0 / np.sqrt(self.clamped_eigenvalues()))
+        return _eig_rebuild(self._evecs, np.sqrt(self._floored))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +215,12 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     ``||O - sum_g w_g (O^{1/2} S_g O^{1/2})^{1/2}||_F / ||O||_F`` drops
     below ``tol``.  Inputs are checked as :class:`SpdMatrix` and
     eigenvalue-clamped first; a matrix with nonpositive trace cannot be
-    clamped into SPD and raises ``NonSpdError``.  The iterates are plain
-    arrays; the result is an :class:`SpdMatrix`, and a stall raises
-    ``NonConvergenceError`` with the last iterate.
+    clamped into SPD and raises ``NonSpdError``.  The clamped inputs are
+    divided by the power of four that brings their mean trace into [1, 4)
+    and the result is multiplied back, so scaling the inputs by a power of
+    four scales the result exactly.  The iterates are plain arrays; the
+    result is an :class:`SpdMatrix`, and a stall raises
+    ``NonConvergenceError`` with the last iterate in the input's units.
     """
     covs = [c if isinstance(c, SpdMatrix) else SpdMatrix(c) for c in covariances]
     if not covs:
@@ -249,6 +239,11 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     sigs = [c.clamped() for c in covs]
+    # a power of four and its root are exact, so inputs that differ by one
+    # run the same iteration, and root @ sig @ root stays far from overflow
+    mean_trace = sum(np.trace(sig) / len(sigs) for sig in sigs)
+    scale = np.ldexp(1.0, 2 * ((np.frexp(mean_trace)[1] - 1) // 2))
+    sigs = [sig / scale for sig in sigs]
     omega = np.eye(t)
     residual = np.inf
     for _ in range(max_iters):
@@ -260,12 +255,12 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
                 mean_root += w * _eig_rebuild(*_psd_root_eig(_sym(root @ sig @ root)))
         residual = np.linalg.norm(omega - mean_root) / np.linalg.norm(omega)
         if residual < tol:
-            return SpdMatrix(omega)
+            return SpdMatrix(omega * scale)
         inv_root = _eig_rebuild(evecs, 1.0 / lam)
         omega = _sym(inv_root @ mean_root @ mean_root @ inv_root)
     raise NonConvergenceError(
         f"barycenter iteration stalled (relative residual {residual:.3e})",
-        last_iterate=omega,
+        last_iterate=omega * scale,
         residual=residual,
     )
 
@@ -289,33 +284,20 @@ def ggfe_objective(data, theta, alpha, assignment) -> float:
     return _criterion_at(data, theta, alpha, assignment)[0]
 
 
-def _pair_inverse(evecs, roots):
-    """Inverse of the Sylvester operator X -> m X + X m, for m = U diag(roots) U'."""
-    uu = np.kron(evecs, evecs)
-    denom = np.add.outer(roots, roots).ravel()
-    return (uu / denom) @ uu.T
-
-
 def _covariance_derivatives(omega, covs, weights):
-    """Matrices ``t_g`` with ``d tr(Omega) / d S_g = w_g t_g`` at the barycenter.
+    """Transport maps ``t_g`` with ``d tr(Omega) / d S_g = w_g t_g`` at the barycenter.
 
-    ``t_g`` contracts ``vec(I)'`` with the resolvent of the barycenter fixed
-    point and the square-root derivative of group g, all built from
-    Kronecker products of eigendecompositions.  Raises
-    ``IllConditionedError`` when a factor ``Omega^{1/2} S_g Omega^{1/2}``
-    has an eigenvalue below the relative floor (near-zero residuals, groups
-    smaller than T).
+    Omega minimizes ``sum_g w_g W^2(., S_g)``, so by the envelope theorem
+    ``t_g`` is the optimal transport map from ``S_g`` to Omega,
+    ``Omega^{1/2} A_g^{-1/2} Omega^{1/2}`` with the factor ``A_g = Omega^{1/2}
+    S_g Omega^{1/2}``; it is symmetric and ``t_g S_g t_g = Omega``.  Raises
+    ``IllConditionedError`` when a factor ``A_g`` has an eigenvalue below
+    the relative floor (near-zero residuals, groups smaller than T).
     """
-    t = omega.dim
-    lam = np.sqrt(omega.clamped_eigenvalues())
     root = omega.sqrt()
-    k_omega = _pair_inverse(omega._evecs, lam)
-    eye = np.eye(t)
-    k_groups = []
-    mixing = np.zeros((t * t, t * t))
+    maps = []
     for h, cov in enumerate(covs):
-        sig = cov.clamped()
-        a_h = _sym(root @ sig @ root)
+        a_h = _sym(root @ cov.clamped() @ root)
         d, u = np.linalg.eigh(a_h)
         floor = _eig_floor(a_h)
         if d[0] < floor:
@@ -323,14 +305,8 @@ def _covariance_derivatives(omega, covs, weights):
                 f"group {h + 1}: covariance factor eigenvalue {d[0]:.3e} "
                 f"is below the stability floor {floor:.3e}"
             )
-        k_h = _pair_inverse(u, np.sqrt(d))
-        k_groups.append(k_h)
-        rs = root @ sig
-        b_h = np.kron(rs, eye) + np.kron(eye, rs)
-        mixing += weights[h] * (k_h @ b_h @ k_omega)
-    lead = np.linalg.solve((np.eye(t * t) - mixing).T, eye.ravel())
-    big_root = np.kron(root, root)
-    return [_sym((big_root @ (k @ lead)).reshape(t, t, order="F")) for k in k_groups]
+        maps.append(_sym(root @ _eig_rebuild(u, 1.0 / np.sqrt(d)) @ root))
+    return maps
 
 
 def _membership_derivatives(data, theta, alpha, omega, covs, weights):
@@ -351,7 +327,8 @@ def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
     Entry (i, g) is the derivative of the barycenter trace in unit i's
     weight on group g, holding the other raw weights fixed.  It is
     ``(v_i' t_g v_i + <t_g, S_g>) / N`` for unit i's residual ``v_i``
-    against group g's effect row, with ``t_g`` from the covariance
+    against group g's effect row, with ``t_g`` the optimal transport map
+    from ``S_g`` to the barycenter Omega, which gives the covariance
     derivative ``d tr(Omega) / d S_g = w_g t_g``.  Rows on the simplex can
     be compared with renormalized finite differences after projecting out
     the within-row mean.  :func:`ggfe_descent` takes the same rows at the
@@ -369,7 +346,8 @@ def _inner_update(data, gamma, kernel, theta_seed):
 
     The effects are the group means at the slopes, so residuals are the
     group-demeaned ``yt_i - xt_i theta``.  From the kernel's scale-weighted
-    slopes, each step takes ``t_g`` (:func:`_covariance_derivatives`) at the
+    slopes, each step takes the transport maps ``t_g`` from each group
+    covariance to the barycenter (:func:`_covariance_derivatives`) at the
     current slopes and solves the p-by-p GLS problem ``theta <- argmin
     sum_g sum_{i in g} (yt_i - xt_i theta)' t_g (yt_i - xt_i theta)``: the
     criterion is concave in the covariances, so this tangent majorizes it.

@@ -113,18 +113,10 @@ class TestSpdMatrix:
         assert not m.definite
         with pytest.raises(NonSpdError):
             m.sqrt()
-        with pytest.raises(NonSpdError):
-            m.inv_sqrt()
 
     def test_sqrt_of_diagonal(self):
         m = SpdMatrix(np.diag([4.0, 9.0]))
         np.testing.assert_allclose(m.sqrt(), np.diag([2.0, 3.0]), rtol=1e-12)
-
-    def test_inv_sqrt_inverts(self, rng):
-        m = SpdMatrix(random_spd(rng, 3))
-        np.testing.assert_allclose(
-            m.sqrt() @ m.inv_sqrt(), np.eye(3), atol=1e-10
-        )
 
 
 class TestSoftAssignment:
@@ -263,6 +255,60 @@ class TestBarycenterFixedPoint:
             barycenter_fixed_point(mats, [0.5, 0.5], max_iters=1)
         assert info.value.residual > 0
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1e305, 1e307])
+    def test_scaled_inputs_scale_the_result(self, rng, scale):
+        a = random_spd(rng, 4)
+        mats = [4.0 * a / np.trace(a), np.diag([1.0, 2.0, 3.0, 4.0])]
+        scaled = [m * scale for m in mats]
+        base = barycenter_fixed_point(mats, [0.5, 0.5]).values
+        out = barycenter_fixed_point(scaled, [0.5, 0.5]).values
+        np.testing.assert_allclose(
+            out / scale, base, rtol=0, atol=1e-12 * np.abs(base).max()
+        )
+        stalls = []
+        for inputs in (mats, scaled):
+            with pytest.raises(NonConvergenceError) as info:
+                barycenter_fixed_point(inputs, [0.5, 0.5], max_iters=2)
+            stalls.append(info.value.last_iterate)
+        np.testing.assert_allclose(
+            stalls[1] / scale, stalls[0], rtol=0, atol=1e-12 * np.abs(stalls[0]).max()
+        )
+
+    def test_power_of_four_scales_are_exact(self, rng):
+        mats = [random_spd(rng, 5), random_spd(rng, 5, spread=3.0)]
+        base = barycenter_fixed_point(mats, [0.3, 0.7]).values
+        out = barycenter_fixed_point([m * 4.0**100 for m in mats], [0.3, 0.7]).values
+        assert np.array_equal(out, base * 4.0**100)
+
+
+class TestCovarianceDerivatives:
+    @pytest.mark.parametrize("t", [3, 12, 24])
+    def test_transport_maps_are_the_trace_derivative(self, rng, t):
+        mats = [random_spd(rng, t), random_spd(rng, t, spread=2.0), random_spd(rng, t)]
+        weights = np.array([0.2, 0.5, 0.3])
+        covs = tuple(SpdMatrix(m) for m in mats)
+        omega = barycenter_fixed_point(covs, weights)
+        maps = ggfe._covariance_derivatives(omega, covs, weights)
+        for g, t_g in enumerate(maps):
+            assert np.array_equal(t_g, t_g.T)
+            np.testing.assert_allclose(
+                t_g @ mats[g] @ t_g, omega.values,
+                rtol=0, atol=1e-9 * np.abs(omega.values).max(),
+            )
+            e = rng.standard_normal((t, t))
+            e = (e + e.T) / 2
+            step = 1e-4 * np.linalg.norm(mats[g]) / np.linalg.norm(e)
+            values = []
+            for sign in (1.0, -1.0):
+                moved = list(mats)
+                moved[g] = mats[g] + sign * step * e
+                values.append(barycenter_fixed_point(moved, weights, tol=1e-14).trace)
+            fd = (values[0] - values[1]) / (2 * step)
+            # relative to the derivative's norm: a direction nearly orthogonal
+            # to t_g has a small directional derivative
+            norm = weights[g] * np.linalg.norm(t_g) * np.linalg.norm(e)
+            assert abs(weights[g] * np.sum(t_g * e) - fd) <= 1e-6 * norm
+
 
 class TestGgfeObjective:
     def test_zero_residuals_zero_value(self):
@@ -343,7 +389,7 @@ class TestAssignmentGradient:
 
     def test_matches_envelope_form(self):
         # the barycenter optimal-value identity gives the same projected
-        # gradient through plain matrix algebra, no Kronecker resolvents
+        # gradient through tr(A_g^{1/2}) in place of <t_g, S_g>
         for seed in (1, 2, 3):
             data, theta, alpha, membership = self._instance(seed)
             soft = SoftAssignment(membership)
