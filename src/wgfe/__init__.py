@@ -8,6 +8,8 @@ along with inference helpers, a covariance-based extension, a simulation
 laboratory, and a command line interface.
 """
 
+import logging
+
 from .errors import (
     DuplicateCellError,
     EmptyGroupError,
@@ -77,6 +79,8 @@ from .simlab import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "PanelDataset",

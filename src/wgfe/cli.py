@@ -484,10 +484,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
-        _emit_error(exc, EXIT_INPUT)
-        return EXIT_INPUT
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ParseError, FileNotFoundError, IsADirectoryError,
+            json.JSONDecodeError, KeyError, ValueError) as exc:
         _emit_error(exc, EXIT_INPUT)
         return EXIT_INPUT
     except (WgfeError, np.linalg.LinAlgError) as exc:

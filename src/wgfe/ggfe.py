@@ -6,9 +6,11 @@ covariance, the criterion is the trace of the Bures-Wasserstein barycenter
 of those covariances, units are reassigned along the criterion's exact
 assignment derivative, and slopes are refitted by majorize-minimize GLS steps.
 Both take the criterion's derivative in each group covariance from the
-optimal transport map between that covariance and the barycenter.
+optimal transport map between that covariance and the barycenter, built
+from the eigendecompositions of the barycenter iteration's last pass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +45,13 @@ EPS_EIG = 1e-10
 
 
 def _sym(a):
-    return (a + a.T) / 2.0
+    half = a / 2.0  # halved first, so entries near the float limit do not overflow
+    return half + half.T
 
 
-def _eig_floor(a):
-    """Eigenvalue clamp ``EPS_EIG * trace / dim`` of a symmetric matrix."""
-    return EPS_EIG * max(float(np.trace(a)), 0.0) / a.shape[0]
+def _pow4(x):
+    """The power of four ``4^j`` with ``x / 4^j`` in [1, 4), for finite ``x > 0``."""
+    return math.ldexp(1.0, 2 * ((math.frexp(x)[1] - 1) // 2))
 
 
 def _eig_rebuild(evecs, lam):
@@ -56,14 +59,17 @@ def _eig_rebuild(evecs, lam):
     return _sym((evecs * lam) @ evecs.T)
 
 
-def _psd_root_eig(a):
-    """``(U, lam)`` with ``_eig_rebuild(U, lam)`` the floored root of symmetric ``a``.
+def _eigh_floored(a):
+    """Eigenvectors ``U``, raw eigenvalues ``d`` and clamp of symmetric ``a``.
 
-    ``lam`` is the root of the eigenvalues floored at :func:`_eig_floor`;
-    ``_eig_rebuild(U, 1 / lam)`` is the inverse root.
+    The clamp ``EPS_EIG * trace / dim`` sums the diagonal over the power of
+    four of the largest eigenvalue, which bounds every diagonal entry, so a
+    trace past the float range does not overflow.
     """
-    evals, evecs = np.linalg.eigh(a)
-    return evecs, np.sqrt(np.maximum(evals, _eig_floor(a)))
+    d, u = np.linalg.eigh(a)
+    scale = _pow4(d[-1])
+    trace = float((np.diagonal(a) / scale).sum())
+    return u, d, EPS_EIG * max(trace, 0.0) / a.shape[0] * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +77,12 @@ class SpdMatrix:
     """A symmetric positive semidefinite matrix with a cached spectrum.
 
     Construction checks symmetry (to 1e-12 on the entry scale) and
-    near-positivity (eigenvalues above -1e-10 times the trace).  Square
-    roots clamp eigenvalues at ``EPS_EIG * trace / dim``, so rank-deficient
-    covariances from small groups stay usable; a matrix with zero trace has
-    no usable root and reports itself as not definite.  Barycenter inputs
-    and results are checked this way; its iterates are plain arrays.
+    near-positivity (eigenvalues above -1e-10 times the trace).
+    :meth:`clamped` floors eigenvalues at ``EPS_EIG * trace / dim``, so
+    rank-deficient covariances from small groups stay usable; a matrix with
+    zero trace cannot be clamped into SPD and reports itself as not
+    definite.  Barycenter inputs and results are checked this way; its
+    iterates are plain arrays.
     """
 
     values: np.ndarray
@@ -90,16 +97,12 @@ class SpdMatrix:
         if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
             raise NonSpdError("matrix is not symmetric")
         arr = _sym(arr)
-        trace = float(np.trace(arr))
-        if trace < -1e-12 * scale:
-            raise NonSpdError(f"matrix has negative trace {trace:.3e}")
-        evals, evecs = np.linalg.eigh(arr)
-        if evals[0] < -EPS_EIG * max(trace, 1e-12 * scale):
+        evecs, evals, floor = _eigh_floored(arr)
+        if evals[0] < -max(floor * arr.shape[0], EPS_EIG * 1e-12 * scale):
             raise NonSpdError(f"matrix has negative eigenvalue {evals[0]:.3e}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_floored", np.maximum(evals, _eig_floor(arr)))
+        object.__setattr__(self, "_floored", np.maximum(evals, floor))
         object.__setattr__(self, "_evecs", evecs)
 
     @property
@@ -113,16 +116,11 @@ class SpdMatrix:
     @property
     def definite(self) -> bool:
         """Whether eigenvalue clamping yields a strictly positive matrix."""
-        return self.trace > 0.0
+        return bool(self._floored[0] > 0.0)
 
     def clamped(self) -> np.ndarray:
         """The matrix with eigenvalues floored at ``EPS_EIG * trace / dim``."""
         return _eig_rebuild(self._evecs, self._floored)
-
-    def sqrt(self) -> np.ndarray:
-        if not self.definite:
-            raise NonSpdError("matrix with nonpositive trace has no usable root")
-        return _eig_rebuild(self._evecs, np.sqrt(self._floored))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,29 +180,24 @@ def group_covariances(data, theta, alpha, assignment):
     if alpha.shape != (assignment.n_groups, data.n_periods):
         raise ValueError("alpha shape does not match assignment/data")
     v = residual_profiles(data, theta)
-    n, g = v.shape[0], assignment.n_groups
-    if isinstance(assignment, SoftAssignment):
-        if assignment.n_units != n:
-            raise ValueError("soft assignment row count does not match data")
-        mass = assignment.weights.sum(axis=0)
-        empty = np.nonzero(mass <= 0.0)[0]
-        if empty.size:
-            raise EmptyGroupError(empty + 1)
-        covs = []
-        for k in range(g):
-            r = v - alpha[k]
-            sig = np.einsum("i,it,is->ts", assignment.weights[:, k], r, r)
-            covs.append(SpdMatrix(_sym(sig / mass[k])))
-        return tuple(covs), mass / n
-    counts = assignment.counts()
-    empty = np.nonzero(counts == 0)[0]
+    n = v.shape[0]
+    soft = isinstance(assignment, SoftAssignment)
+    if soft and assignment.n_units != n:
+        raise ValueError("soft assignment row count does not match data")
+    mass = assignment.weights.sum(axis=0) if soft else assignment.counts()
+    empty = np.nonzero(mass <= 0)[0]
     if empty.size:
         raise EmptyGroupError(empty + 1)
     covs = []
-    for k in range(g):
-        r = v[assignment.labels == k + 1] - alpha[k]
-        covs.append(SpdMatrix(_sym(r.T @ r / counts[k])))
-    return tuple(covs), counts / n
+    for k in range(assignment.n_groups):
+        if soft:
+            r = v - alpha[k]
+            sig = np.einsum("i,it,is->ts", assignment.weights[:, k], r, r)
+        else:
+            r = v[assignment.labels == k + 1] - alpha[k]
+            sig = r.T @ r
+        covs.append(SpdMatrix(sig / mass[k]))
+    return tuple(covs), mass / n
 
 
 def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
@@ -216,11 +209,21 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     below ``tol``.  Inputs are checked as :class:`SpdMatrix` and
     eigenvalue-clamped first; a matrix with nonpositive trace cannot be
     clamped into SPD and raises ``NonSpdError``.  The clamped inputs are
-    divided by the power of four that brings their mean trace into [1, 4)
-    and the result is multiplied back, so scaling the inputs by a power of
-    four scales the result exactly.  The iterates are plain arrays; the
-    result is an :class:`SpdMatrix`, and a stall raises
+    divided by the power of four that brings their largest diagonal entry
+    into [1, 4) and the result is multiplied back, so scaling the inputs by
+    a power of four scales the result exactly.  The iterates are plain
+    arrays; the result is an :class:`SpdMatrix`, and a stall raises
     ``NonConvergenceError`` with the last iterate in the input's units.
+    """
+    omega, (_, _, scale) = _barycenter(covariances, weights, tol, max_iters)
+    return SpdMatrix(omega * scale)
+
+
+def _barycenter(covariances, weights, tol=1e-11, max_iters=500):
+    """:func:`barycenter_fixed_point` as the scaled iterate and ``(R, eigs, scale)``.
+
+    R is the iterate's floored root and ``eigs[g]`` the :func:`_eigh_floored`
+    triple of ``R S_g R`` for the scaled input ``S_g`` (None at zero weight).
     """
     covs = [c if isinstance(c, SpdMatrix) else SpdMatrix(c) for c in covariances]
     if not covs:
@@ -241,21 +244,22 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     sigs = [c.clamped() for c in covs]
     # a power of four and its root are exact, so inputs that differ by one
     # run the same iteration, and root @ sig @ root stays far from overflow
-    mean_trace = sum(np.trace(sig) / len(sigs) for sig in sigs)
-    scale = np.ldexp(1.0, 2 * ((np.frexp(mean_trace)[1] - 1) // 2))
+    scale = _pow4(max(np.diagonal(sig).max() for sig in sigs))
     sigs = [sig / scale for sig in sigs]
     omega = np.eye(t)
-    residual = np.inf
     for _ in range(max_iters):
-        evecs, lam = _psd_root_eig(omega)
+        evecs, evals, floor = _eigh_floored(omega)
+        lam = np.sqrt(np.maximum(evals, floor))
         root = _eig_rebuild(evecs, lam)
         mean_root = np.zeros((t, t))
-        for w, sig in zip(weights, sigs):
+        eigs = [None] * len(sigs)
+        for g, w in enumerate(weights):
             if w > 0.0:
-                mean_root += w * _eig_rebuild(*_psd_root_eig(_sym(root @ sig @ root)))
+                u, d, f = eigs[g] = _eigh_floored(_sym(root @ sigs[g] @ root))
+                mean_root += w * _eig_rebuild(u, np.sqrt(np.maximum(d, f)))
         residual = np.linalg.norm(omega - mean_root) / np.linalg.norm(omega)
         if residual < tol:
-            return SpdMatrix(omega * scale)
+            return omega, (root, eigs, scale)
         inv_root = _eig_rebuild(evecs, 1.0 / lam)
         omega = _sym(inv_root @ mean_root @ mean_root @ inv_root)
     raise NonConvergenceError(
@@ -266,12 +270,12 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
 
 
 def _criterion_at(data, theta, alpha, assignment):
-    """ggfe_objective's value, barycenter (None at zero), covariances and masses."""
+    """ggfe_objective's value and the barycenter's final-pass factors (None at zero)."""
     covs, weights = group_covariances(data, theta, alpha, assignment)
     if max(c.trace for c in covs) <= 0.0:
-        return 0.0, None, covs, weights
-    omega = barycenter_fixed_point(covs, weights)
-    return omega.trace, omega, covs, weights
+        return 0.0, None
+    omega, factors = _barycenter(covs, weights)
+    return float(np.trace(omega) * factors[2]), factors
 
 
 def ggfe_objective(data, theta, alpha, assignment) -> float:
@@ -284,41 +288,39 @@ def ggfe_objective(data, theta, alpha, assignment) -> float:
     return _criterion_at(data, theta, alpha, assignment)[0]
 
 
-def _covariance_derivatives(omega, covs, weights):
-    """Transport maps ``t_g`` with ``d tr(Omega) / d S_g = w_g t_g`` at the barycenter.
+def _covariance_derivatives(factors):
+    """Transport maps ``t_g`` and constants ``<t_g, S_g>`` from :func:`_barycenter`.
 
     Omega minimizes ``sum_g w_g W^2(., S_g)``, so by the envelope theorem
-    ``t_g`` is the optimal transport map from ``S_g`` to Omega,
-    ``Omega^{1/2} A_g^{-1/2} Omega^{1/2}`` with the factor ``A_g = Omega^{1/2}
-    S_g Omega^{1/2}``; it is symmetric and ``t_g S_g t_g = Omega``.  Raises
-    ``IllConditionedError`` when a factor ``A_g`` has an eigenvalue below
-    the relative floor (near-zero residuals, groups smaller than T).
+    ``d tr(Omega) / d S_g = w_g t_g`` with ``t_g = R A_g^{-1/2} R`` the
+    optimal transport map from ``S_g`` to Omega; it is symmetric, free of
+    the scale, ``t_g S_g t_g = Omega`` and ``<t_g, S_g> = tr(A_g^{1/2})``.
+    Raises ``IllConditionedError`` when a factor ``A_g`` has an eigenvalue
+    below its floor (near-zero residuals, groups smaller than T).
     """
-    root = omega.sqrt()
-    maps = []
-    for h, cov in enumerate(covs):
-        a_h = _sym(root @ cov.clamped() @ root)
-        d, u = np.linalg.eigh(a_h)
-        floor = _eig_floor(a_h)
+    root, eigs, scale = factors
+    maps, consts = [], []
+    for h, (u, d, floor) in enumerate(eigs):
         if d[0] < floor:
-            raise IllConditionedError(
-                f"group {h + 1}: covariance factor eigenvalue {d[0]:.3e} "
-                f"is below the stability floor {floor:.3e}"
+            raise IllConditionedError(  # A_g in the input's units
+                f"group {h + 1}: covariance factor eigenvalue "
+                f"{d[0] * scale * scale:.3e} is below the stability floor "
+                f"{floor * scale * scale:.3e}"
             )
         maps.append(_sym(root @ _eig_rebuild(u, 1.0 / np.sqrt(d)) @ root))
-    return maps
+        consts.append(scale * float(np.sqrt(d).sum()))
+    return maps, consts
 
 
-def _membership_derivatives(data, theta, alpha, omega, covs, weights):
-    """:func:`assignment_gradient` at the barycenter of ``covs`` and ``weights``."""
-    n = data.n_units
+def _membership_derivatives(data, theta, alpha, factors):
+    """:func:`assignment_gradient` from the barycenter's final-pass ``factors``."""
     v = residual_profiles(data, theta)
-    grad = np.empty((n, len(covs)))
-    for k, t_k in enumerate(_covariance_derivatives(omega, covs, weights)):
+    maps, consts = _covariance_derivatives(factors)
+    grad = np.empty((data.n_units, len(maps)))
+    for k, t_k in enumerate(maps):
         r = v - np.asarray(alpha, dtype=float)[k]
-        quad = np.einsum("it,ts,is->i", r, t_k, r)
-        grad[:, k] = (quad + float((t_k * covs[k].clamped()).sum())) / n
-    return grad
+        grad[:, k] = np.einsum("it,ts,is->i", r, t_k, r)
+    return (grad + consts) / data.n_units
 
 
 def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
@@ -331,14 +333,13 @@ def assignment_gradient(data, theta, alpha, soft: SoftAssignment) -> np.ndarray:
     from ``S_g`` to the barycenter Omega, which gives the covariance
     derivative ``d tr(Omega) / d S_g = w_g t_g``.  Rows on the simplex can
     be compared with renormalized finite differences after projecting out
-    the within-row mean.  :func:`ggfe_descent` takes the same rows at the
-    barycenter its slope refit ended with.
+    the within-row mean.  :func:`ggfe_descent` takes the same rows from
+    the barycenter its slope refit ended with.
     """
     if not isinstance(soft, SoftAssignment):
         raise TypeError("assignment_gradient needs a SoftAssignment")
     covs, weights = group_covariances(data, theta, alpha, soft)
-    omega = barycenter_fixed_point(covs, weights)
-    return _membership_derivatives(data, theta, alpha, omega, covs, weights)
+    return _membership_derivatives(data, theta, alpha, _barycenter(covs, weights)[1])
 
 
 def _inner_update(data, gamma, kernel, theta_seed):
@@ -355,10 +356,9 @@ def _inner_update(data, gamma, kernel, theta_seed):
     ``fp_max_iters`` steps; a step whose value rises by more than 1e-12
     relative ends at the previous slopes, an ill-conditioned derivative at
     the current ones.  p = 0 takes no step.  Returns ``(theta, alpha,
-    state)``, where state is the final :func:`_criterion_at` tuple (value,
-    barycenter, covariances, masses) at those slopes and effects; a start
-    that fits a group exactly beside nonzero covariances raises
-    ``NonSpdError``.
+    state)``, where state is the final :func:`_criterion_at` pair (value,
+    barycenter factors) at those slopes and effects; a start that fits a
+    group exactly beside nonzero covariances raises ``NonSpdError``.
     """
     try:
         theta = kernel.fit(gamma.labels, theta_seed)[0]
@@ -379,7 +379,7 @@ def _inner_update(data, gamma, kernel, theta_seed):
         if state[1] is None:
             break  # every group fitted exactly: the criterion is zero
         try:
-            ts = np.stack(_covariance_derivatives(*state[1:]))
+            ts = np.stack(_covariance_derivatives(state[1])[0])
         except IllConditionedError:
             break
         m = np.einsum("gts,gtasb->ab", ts, cross)
@@ -399,11 +399,11 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
 
     Each round refits the slopes, with the effects at their group means,
     then moves every unit to the group minimizing its exact assignment
-    derivative (:func:`assignment_gradient`, taken at the refit's final
-    barycenter), topping up groups left with fewer than two members from
-    the worst-scoring donors: a one-member group is fitted exactly by its
-    effect row, and a zero covariance beside nonzero ones has no criterion
-    value.
+    derivative (:func:`assignment_gradient`, taken from the refit's final
+    barycenter pass), topping up groups left with fewer than two members
+    from the worst-scoring donors: a one-member group is fitted exactly by
+    its effect row, and a zero covariance beside nonzero ones has no
+    criterion value.
     Stops at an assignment fixed point or after ``max_lloyd_iters`` rounds.
 
     Guarded stops keep the loop a descent of :func:`ggfe_objective`
@@ -420,8 +420,7 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         raise ValueError(f"ggfe_descent needs mode 'ggfe', got {config.mode!r}")
     if data.n_units < 2 * config.n_groups:
         raise ValueError(f"need at least two units per group, got {data.n_units} units")
-    rng = np.random.default_rng(config.seed)
-    init = initialize(data, config, rng)
+    init = initialize(data, config, np.random.default_rng(config.seed))
     d2 = _profile_distances(data, init.theta, init.alpha)
     gamma = GroupAssignment(
         _repair_empty(np.argmin(d2, axis=1) + 1, d2, min_size=2), config.n_groups
@@ -431,9 +430,7 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     best = None
     trace = []
     converged = True
-    n_iters = 0
-    for it in range(config.max_lloyd_iters):
-        n_iters = it + 1
+    for n_iters in range(1, config.max_lloyd_iters + 1):
         try:
             theta, alpha, state = _inner_update(data, gamma, kernel, theta_seed=theta)
         except NonSpdError:
@@ -448,7 +445,7 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         if value <= 0.0:
             break  # every group is fitted exactly: zero covariances have no derivative
         try:
-            grad = _membership_derivatives(data, theta, alpha, *state[1:])
+            grad = _membership_derivatives(data, theta, alpha, state[1])
         except IllConditionedError:
             break
         gamma_next = GroupAssignment(

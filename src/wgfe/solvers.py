@@ -9,7 +9,7 @@ and a systematic single-move local search to escape poor partitions, and
 
 from __future__ import annotations
 
-import warnings
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -43,6 +43,8 @@ __all__ = [
     "vns",
     "multi_start",
 ]
+
+logger = logging.getLogger(__name__)
 
 _MODES = ("wgfe", "gfe", "ggfe")
 
@@ -456,8 +458,8 @@ def initialize(
 ) -> GroupParameters:
     """Starting parameters for a search.
 
-    Slopes are the pooled OLS fit, or zero (with a warning) when its design
-    is singular.  The effect rows are the residual profiles of G distinct
+    Slopes are the pooled OLS fit, or zero (with a logged warning) when its
+    design is singular.  The effect rows are the residual profiles of G distinct
     randomly chosen units; the scales and weights follow from the
     nearest-profile assignment those rows induce, with empty groups falling
     back to the pooled residual scale.
@@ -486,9 +488,7 @@ def _initial_theta(data):
     try:
         return _least_squares(data.covariates.reshape(-1, p), data.outcomes.ravel())
     except SingularDesignError:
-        warnings.warn(
-            "pooled_ols start is singular, falling back to zero slopes", stacklevel=3
-        )
+        logger.warning("pooled_ols start is singular, falling back to zero slopes")
         return np.zeros(p)
 
 

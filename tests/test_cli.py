@@ -202,6 +202,25 @@ class TestEstimateCommand:
         assert err["error"]["code"] == "singular_design"
         assert "rank deficient" in err["error"]["message"]
 
+    def test_singular_design_stderr_is_one_json_line(self, tmp_path):
+        # the zero-slope start is logged, not warned, so a fresh interpreter
+        # writes nothing to stderr but the error document
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(20, 4, 2))
+        x[:, :, 1] = 0.0
+        data = PanelDataset(rng.normal(size=(20, 4)), x)
+        panel = write_panel(tmp_path / "zero.csv", data)
+        out = subprocess.run(
+            [sys.executable, "-m", "wgfe.cli", "estimate", panel,
+             "--restarts", "5", "--groups", "2"],
+            env=source_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 3
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+        assert json.loads(out.stderr)["error"]["code"] == "singular_design"
+
     def test_input_problems_map_to_exit_two(self, tmp_path, capsys):
         rc = main(["estimate", str(tmp_path / "absent.csv")])
         assert rc == 2
@@ -477,8 +496,6 @@ def scipy_loaded_after(*args):
 
     With no arguments the interpreter only imports the CLI.
     """
-    src = str(Path(wgfe.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     code = (
         "import sys, wgfe.cli\n"
         "if sys.argv[1:]:\n"
@@ -487,9 +504,16 @@ def scipy_loaded_after(*args):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=source_env(),
         capture_output=True,
         text=True,
         check=True,
     )
     return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def source_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(wgfe.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path}

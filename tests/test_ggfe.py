@@ -105,18 +105,18 @@ class TestSpdMatrix:
         v = rng.standard_normal(4)
         m = SpdMatrix(np.outer(v, v))
         assert m.definite
-        root = m.sqrt()
-        np.testing.assert_allclose(root @ root, m.values, atol=1e-8 * m.trace)
+        clamped = m.clamped()
+        assert np.linalg.eigvalsh(clamped).min() > 0.0
+        np.testing.assert_allclose(clamped, m.values, atol=1e-8 * m.trace)
 
     def test_zero_matrix_has_no_root(self):
         m = SpdMatrix(np.zeros((3, 3)))
         assert not m.definite
-        with pytest.raises(NonSpdError):
-            m.sqrt()
 
-    def test_sqrt_of_diagonal(self):
-        m = SpdMatrix(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(m.sqrt(), np.diag([2.0, 3.0]), rtol=1e-12)
+    def test_trace_past_the_float_range(self):
+        m = SpdMatrix(np.diag([1e308] * 4))
+        assert m.definite
+        np.testing.assert_array_equal(m.clamped(), m.values)
 
 
 class TestSoftAssignment:
@@ -232,7 +232,7 @@ class TestBarycenterFixedPoint:
         out = barycenter_fixed_point(mats, weights)
         ref = reference_barycenter(mats, weights)
         np.testing.assert_allclose(out.values, ref, rtol=1e-9)
-        root = out.sqrt()
+        root = np.real(dense_sqrtm(out.values))
         mean = sum(
             w * np.real(dense_sqrtm(root @ s @ root)) for w, s in zip(weights, mats)
         )
@@ -274,6 +274,12 @@ class TestBarycenterFixedPoint:
             stalls[1] / scale, stalls[0], rtol=0, atol=1e-12 * np.abs(stalls[0]).max()
         )
 
+    def test_inputs_whose_traces_overflow(self):
+        # the traces 4e308 and 4e307 are past the float range; the entries are not
+        out = barycenter_fixed_point([1e308 * np.eye(4), 1e307 * np.eye(4)], [0.5, 0.5])
+        expect = (0.5 * np.sqrt(1e308) + 0.5 * np.sqrt(1e307)) ** 2
+        np.testing.assert_allclose(np.diag(out.values), expect, rtol=1e-12)
+
     def test_power_of_four_scales_are_exact(self, rng):
         mats = [random_spd(rng, 5), random_spd(rng, 5, spread=3.0)]
         base = barycenter_fixed_point(mats, [0.3, 0.7]).values
@@ -288,9 +294,11 @@ class TestCovarianceDerivatives:
         weights = np.array([0.2, 0.5, 0.3])
         covs = tuple(SpdMatrix(m) for m in mats)
         omega = barycenter_fixed_point(covs, weights)
-        maps = ggfe._covariance_derivatives(omega, covs, weights)
+        maps, consts = ggfe._covariance_derivatives(ggfe._barycenter(covs, weights)[1])
         for g, t_g in enumerate(maps):
             assert np.array_equal(t_g, t_g.T)
+            inner = np.sum(t_g * covs[g].clamped())
+            assert abs(consts[g] - inner) <= 1e-12 * abs(inner)
             np.testing.assert_allclose(
                 t_g @ mats[g] @ t_g, omega.values,
                 rtol=0, atol=1e-9 * np.abs(omega.values).max(),
@@ -396,7 +404,7 @@ class TestAssignmentGradient:
             grad = assignment_gradient(data, theta, alpha, soft)
             covs, w = group_covariances(data, theta, alpha, soft)
             omega = barycenter_fixed_point(covs, w, tol=1e-13)
-            root = omega.sqrt()
+            root = np.real(dense_sqrtm(omega.values))
             v = data.outcomes - data.covariates @ theta
             env = np.zeros_like(grad)
             for g in range(soft.n_groups):

@@ -1,6 +1,7 @@
 """Solvers: slope fixed point, Lloyd iteration, neighborhood search, restarts."""
 
 import itertools
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,15 @@ def exhaustive_best(data, cfg):
             continue
         best = min(best, value)
     return best
+
+
+def singular_start_logged(caplog):
+    """Whether the zero-slope fallback was logged as a ``wgfe.solvers`` warning."""
+    return any(
+        r.name == "wgfe.solvers" and r.levelno == logging.WARNING
+        and "singular" in r.message
+        for r in caplog.records
+    )
 
 
 def recompute_objective(data, res):
@@ -366,35 +376,41 @@ class TestInitialize:
         params = initialize(data, SolverConfig(n_groups=2), np.random.default_rng(0))
         assert params.theta[0] == pytest.approx(2.0, abs=0.05)
 
-    def test_singular_pooled_ols_start_falls_back_to_zero_slopes(self, rng):
-        # an all-zero covariate: the start warns and uses zero slopes; every
-        # grouped fit is singular too, so each restart fails at its first fit
-        # and the search reports the design, not a convergence failure
+    def test_singular_pooled_ols_start_falls_back_to_zero_slopes(self, rng, caplog):
+        # an all-zero covariate: the start logs a warning and uses zero slopes;
+        # every grouped fit is singular too, so each restart fails at its first
+        # fit and the search reports the design, not a convergence failure
         data = make_dataset(rng, n=20, t=4, p=2)
         x = data.covariates.copy()
         x[:, :, 1] = 0.0
         data = PanelDataset(data.outcomes, x)
         cfg = SolverConfig(n_groups=2, n_restarts=2, vns_iter_max=2)
-        with pytest.warns(UserWarning, match="singular"):
+        with caplog.at_level(logging.WARNING, logger="wgfe.solvers"):
             params = initialize(data, cfg, np.random.default_rng(0))
+        assert singular_start_logged(caplog)
         np.testing.assert_array_equal(params.theta, np.zeros(2))
-        with pytest.warns(UserWarning, match="singular"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="wgfe.solvers"):
             with pytest.raises(SingularDesignError, match="rank deficient"):
                 multi_start(data, cfg)
+        assert singular_start_logged(caplog)
 
-    def test_search_runs_from_the_zero_slope_fallback(self, rng):
+    def test_search_runs_from_the_zero_slope_fallback(self, rng, caplog):
         # a covariate offset by 1e6 makes the pooled design numerically
         # singular, while the group-demeaned designs of the search are not
         x = rng.standard_normal((20, 4, 2))
         x[:, :, 0] += 1e6
         data = PanelDataset(rng.standard_normal((20, 4)), x)
         cfg = SolverConfig(n_groups=2, n_restarts=2, vns_iter_max=2)
-        with pytest.warns(UserWarning, match="singular"):
+        with caplog.at_level(logging.WARNING, logger="wgfe.solvers"):
             np.testing.assert_array_equal(
                 initialize(data, cfg, np.random.default_rng(0)).theta, np.zeros(2)
             )
-        with pytest.warns(UserWarning, match="singular"):
+        assert singular_start_logged(caplog)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="wgfe.solvers"):
             res = multi_start(data, cfg)
+        assert singular_start_logged(caplog)
         assert res.n_restarts_used == 2
         assert res.objective == pytest.approx(recompute_objective(data, res), rel=1e-9)
 
