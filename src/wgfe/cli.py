@@ -22,6 +22,7 @@ success, 2 for input problems, 3 for numeric or solver failures.
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -92,7 +93,7 @@ def ingest_csv(path) -> PanelDataset:
                 t_val = float(row[1])
             except ValueError:
                 t_val = float("nan")
-            if not np.isfinite(t_val):
+            if not math.isfinite(t_val):
                 raise ParseError(
                     f"invalid time value {row[1]!r}", line=lineno, column="time"
                 )
@@ -125,15 +126,9 @@ def ingest_csv(path) -> PanelDataset:
         shown = ", ".join(f"({u}, {t:g})" for u, t in missing[:5])
         more = ", ..." if len(missing) > 5 else ""
         raise UnbalancedPanelError(f"missing cells: {shown}{more}")
-    n, t, p = len(units), len(periods), width - 3
-    y = np.empty((n, t))
-    x = np.empty((n, t, p))
-    for i, u in enumerate(units):
-        for s, tv in enumerate(periods):
-            row = cells[(u, tv)]
-            y[i, s] = row[0]
-            x[i, s] = row[1:]
-    return PanelDataset(y, x)
+    z = np.array([cells[(u, tv)] for u in units for tv in periods], dtype=float)
+    z = z.reshape(len(units), len(periods), width - 2)
+    return PanelDataset(z[:, :, 0], z[:, :, 1:])
 
 
 def emit_csv(data: PanelDataset, path):

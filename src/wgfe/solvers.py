@@ -266,6 +266,16 @@ class _Kernel:
             raise out
         return out
 
+    def fit_labelings(self, labelings, seed):
+        """The update at each of the given 1-based label arrays, in one batch.
+
+        Every fit is seeded at ``seed``.  Returns one outcome per labeling:
+        its state, or the exception its fit raised.
+        """
+        counts, means, cross = (np.array(s) for s in zip(*map(self.stats, labelings)))
+        seeds = np.repeat(np.asarray(seed, dtype=float)[None], len(labelings), axis=0)
+        return self._solve(counts, means, cross, seeds)
+
     def fit_moves(self, labels, seed, units, targets):
         """The update at each grouping one move away from ``labels``.
 
@@ -592,12 +602,36 @@ def _jump(labels, g, n_moves, rng):
     return _frozen(labels)
 
 
+def _draw_sweep(search, labels, seed, rng):
+    """The jumps of sizes 1 to ``vns_neigh_max`` from ``labels``, drawn ahead.
+
+    Returns, per jump, the key of its labeling, the generator state right
+    after its draw, and the outcome of its fit seeded at ``seed`` -- None for
+    a labeling already in ``search``'s cache.  The uncached labelings are
+    fitted in one batch.
+    """
+    jumps, keys, drawn = [], [], []
+    for n in range(1, search.config.vns_neigh_max + 1):
+        jumps.append(_jump(labels, search.n_groups, n, rng))
+        keys.append(search.key(jumps[-1]))
+        drawn.append(rng.bit_generator.state)
+    fresh = [k for k, key in enumerate(keys) if key not in search.states]
+    fits = [None] * len(jumps)
+    if fresh:
+        for k, out in zip(fresh, search.fit_labelings([jumps[k] for k in fresh], seed)):
+            fits[k] = out
+    return list(zip(keys, drawn, fits))
+
+
 class _Search(_Kernel):
     """The kernel of one :func:`vns` run, with its partition cache.
 
     Partitions recur constantly across jump cycles.  ``states`` maps the key
-    of a labeling to the first state fitted for it, by :meth:`fit` or by a
-    local-search batch, and :meth:`fit` returns it verbatim.
+    of a labeling to the first state fitted for it and used: by :meth:`fit`,
+    by a local-search batch (every move it fits), or from a sweep's batch of
+    jumps once :func:`vns` reaches that jump; jump fits that the search
+    never reaches are not kept.  :meth:`fit` returns a stored state
+    verbatim.
 
     Labelings are keyed by a 128-bit Zobrist hash: two independent random
     64-bit codes per (unit, group), XORed over the units.  A single move
@@ -708,8 +742,23 @@ def vns(
     and a single-move local search polish the result, and the incumbent is
     replaced whenever the final objective strictly improves on the best
     found so far (resetting n to 1); otherwise n escalates to
-    ``vns_neigh_max``.  With ``vns_neigh_max=0``, or a single group (where
-    no jump can move a unit), this is exactly one Lloyd run.
+    ``vns_neigh_max``.  A jump whose fit, descent or local search does not
+    converge counts as no improvement.  With ``vns_neigh_max=0``, or a
+    single group (where no jump can move a unit), this is exactly one Lloyd
+    run.
+
+    The jumps of a sweep (n = 1 up to ``vns_neigh_max``, all from the same
+    incumbent) are drawn ahead when it starts, and the ones not yet cached
+    are fitted in one batched fixed point seeded at the incumbent's slopes.
+    The search then takes them in order, as if each were drawn and fitted
+    when reached: a cached state still wins over the batch's, a jump's
+    outcome enters the cache only once it is reached, and a fit that failed
+    raises (or counts as no improvement) at its own jump.  At each jump the
+    random generator is set to its state just after that jump's draw, so
+    an improvement discards the rest of the batch and the next sweep draws
+    from where a one-jump-at-a-time search would.  Every answer, and the
+    generator's state afterwards, is that of drawing and fitting one jump
+    at a time.
 
     Fits are cached per labeling for the whole run (see ``_Search``).  When
     a Lloyd descent lands on a grouping that an earlier local search of this
@@ -728,9 +777,16 @@ def vns(
     for _ in range(config.vns_iter_max if g > 1 else 0):
         n = 1
         while n <= config.vns_neigh_max:
-            labels_j = _jump(best_labels, g, n, rng)
+            if n == 1:
+                sweep = _draw_sweep(search, best_labels, best_state[0], rng)
+            key_j, drawn, fitted = sweep[n - 1]
+            rng.bit_generator.state = drawn
             try:
-                state_j = search.fit(labels_j, best_state[0])
+                state_j = search.states.get(key_j)
+                if state_j is None:
+                    if isinstance(fitted, Exception):
+                        raise fitted
+                    state_j = search.states[key_j] = fitted
                 state_c, labels_c, _, iters_d, conv_d = _lloyd_raw(
                     data, config, *state_j[:3], search.fit
                 )

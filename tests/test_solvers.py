@@ -282,6 +282,64 @@ class TestKernel:
         assert moved[4] == pytest.approx(fresh[4], rel=1e-12)
 
 
+def same_outcome(got, ref):
+    """Whether two fit outcomes are bitwise equal: states array by array, errors by content."""
+    if isinstance(ref, Exception):
+        same = type(got) is type(ref) and str(got) == str(ref)
+        if same and isinstance(ref, NonConvergenceError):
+            same = got.residual == ref.residual and all(
+                a.tobytes() == b.tobytes() for a, b in zip(got.last_iterate, ref.last_iterate)
+            )
+        return same
+    return not isinstance(got, Exception) and all(
+        np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, ref)
+    )
+
+
+class TestKernelRows:
+    """Each row of a stacked fit is computed as if it were fitted alone."""
+
+    @pytest.mark.parametrize("fp_max_iters", [1, 500])
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_stacked_rows_match_one_row_calls(self, mode, p, g, fp_max_iters):
+        r = np.random.default_rng(31 + 3 * p + g)
+        n, t = 24, 5
+        # with two or more groups, integer covariates that vary only by
+        # block and period, with period means exactly zero: grouping by
+        # block leaves exactly no within-group variation, a singular design
+        blocks = np.arange(n) * g // n + 1
+        x = r.standard_normal((n, t, p))
+        if g > 1:
+            levels = r.integers(-3, 4, size=(g, t, p)).astype(float)
+            levels[-1] = -levels[:-1].sum(axis=0)
+            x = levels[blocks - 1]
+        data = PanelDataset(x.sum(axis=2) + r.standard_normal((n, t)), x)
+        cfg = SolverConfig(mode=mode, n_groups=g, fp_max_iters=fp_max_iters)
+        kernel = _Kernel(data, cfg)
+        settled = _Kernel(data, replace(cfg, fp_max_iters=500))
+        groupings = [random_assignment(r, n, g).labels for _ in range(5)]
+        # seeded at their own fixed point, fits settle within one step;
+        # seeded at zero, weighted fits take several
+        seeds = [settled.fit(labels)[0] for labels in groupings[:3]] + [np.zeros(p)] * 2
+        groupings.insert(2, blocks)
+        seeds.insert(2, np.zeros(p))
+        counts, means, cross = (np.stack(s) for s in zip(*map(kernel.stats, groupings)))
+        stacked = kernel._solve(counts, means, cross, np.stack(seeds))
+        alone = [
+            kernel._solve(counts[[k]], means[[k]], cross[[k]], np.stack(seeds)[[k]])[0]
+            for k in range(len(groupings))
+        ]
+        for got, ref in zip(stacked, alone):
+            assert same_outcome(got, ref)
+        kinds = {type(out) for out in stacked}
+        assert tuple in kinds
+        assert (SingularDesignError in kinds) == (p > 0 and g > 1)
+        stalls = p > 0 and mode == "wgfe" and fp_max_iters == 1
+        assert (NonConvergenceError in kinds) == stalls
+
+
 def sequential_local_search(labels, state, fit, g, max_sweeps=100):
     """The first-improvement loop with one fit per candidate move, as a reference."""
     obj = state[4]
@@ -310,6 +368,55 @@ def sequential_local_search(labels, state, fit, g, max_sweeps=100):
         if not improved:
             break
     return labels, state
+
+
+def sequential_vns(data, cfg, rng):
+    """The shaking loop with one fit per jump, as a reference for ``vns``.
+
+    Returns the search's ``(state, labels, trace, n_lloyd_iters, converged)``
+    and its events: the jump sizes at which the incumbent improved, and how
+    many jump fits did not converge.
+    """
+    search = solvers._Search(data, cfg)
+    searched = set()
+    events = {"improved_at": [], "jump_stalls": 0}
+    init = initialize(data, cfg, rng)
+    best_state, best_labels, _, total_iters, converged = solvers._lloyd_raw(
+        data, cfg, init.theta, init.alpha, init.sigma, search.fit
+    )
+    improvements = [best_state[4]]
+    g = cfg.n_groups
+    for _ in range(cfg.vns_iter_max if g > 1 else 0):
+        n = 1
+        while n <= cfg.vns_neigh_max:
+            labels_j = solvers._jump(best_labels, g, n, rng)
+            try:
+                state_j = search.fit(labels_j, best_state[0])
+            except NonConvergenceError:
+                events["jump_stalls"] += 1
+                n += 1
+                continue
+            try:
+                state_c, labels_c, _, iters_d, conv_d = solvers._lloyd_raw(
+                    data, cfg, *state_j[:3], search.fit
+                )
+                total_iters += iters_d
+                if search.key(labels_c) not in searched:
+                    labels_c, state_c = solvers._local_search(labels_c, state_c, search)
+                    searched.add(search.key(labels_c))
+            except NonConvergenceError:
+                n += 1
+                continue
+            best_obj = best_state[4]
+            if state_c[4] < best_obj - 1e-12 * (1.0 + abs(best_obj)):
+                best_labels, best_state = labels_c, state_c
+                converged = converged or conv_d
+                improvements.append(state_c[4])
+                events["improved_at"].append(n)
+                n = 1
+            else:
+                n += 1
+    return (best_state, best_labels, tuple(improvements), total_iters, converged), events
 
 
 class TestLocalSearch:
@@ -576,6 +683,47 @@ class TestVns:
         assert res.n_lloyd_iters == 1
         assert res.objective == one_pass.objective
         np.testing.assert_array_equal(res.params.theta, one_pass.params.theta)
+
+    def test_matches_sequential_reference_bitwise(self):
+        # (seed, N, G, p, mode, fp_max_iters); the cap of 4 makes some jump
+        # fits stall, and improvements land before the largest jump
+        panels = [
+            (701, 34, 3, 2, "wgfe", 500),
+            (705, 50, 3, 0, "wgfe", 500),
+            (715, 34, 3, 1, "gfe", 500),
+            (800, 35, 2, 1, "wgfe", 4),
+            (700, 30, 2, 1, "wgfe", 500),
+            (702, 38, 2, 0, "gfe", 500),
+            (704, 46, 2, 2, "wgfe", 500),
+            (710, 42, 2, 2, "gfe", 500),
+        ]
+        improved_at, stalls = [], 0
+        for seed, n, g, p, mode, fp_max_iters in panels:
+            r = np.random.default_rng(seed)
+            data, _, _ = make_grouped_dataset(
+                r, n=n, t=4, p=p, g=g, sigma=np.linspace(0.3, 1.5, g)
+            )
+            cfg = SolverConfig(
+                mode=mode, n_groups=g, fp_max_iters=fp_max_iters,
+                vns_iter_max=3, vns_neigh_max=6,
+            )
+            ref_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref, events = sequential_vns(data, cfg, ref_rng)
+            got = vns(data, cfg, got_rng)
+            state, labels, trace, n_iters, converged = ref
+            np.testing.assert_array_equal(got.assignment.labels, labels)
+            for a, b in zip((got.params.theta, got.params.alpha, got.params.sigma), state):
+                assert a.tobytes() == b.tobytes()
+            assert got.breakdown.per_group_ssr.tobytes() == state[3].tobytes()
+            assert got.objective == state[4]
+            assert got.trace == trace
+            assert got.n_lloyd_iters == n_iters
+            assert got.converged == converged
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            improved_at += events["improved_at"]
+            stalls += events["jump_stalls"]
+        assert any(n < 6 for n in improved_at)  # the rest of a sweep is discarded
+        assert stalls > 0
 
     def test_search_steps_never_write_their_input_labels(self, rng):
         # each step hands on a read-only array; a write into it would raise
