@@ -29,14 +29,11 @@ from .model import (
     PanelDataset,
     gfe_assign,
     gfe_objective,
-    gfe_update,
     group_ssr,
     residual_profiles,
     sigma_floor,
-    update_alpha,
     wgfe_assign,
     wgfe_objective,
-    within_group_means,
 )
 from .solvers import (
     EstimationResult,
@@ -87,14 +84,11 @@ __all__ = [
     "GroupAssignment",
     "GroupParameters",
     "ObjectiveBreakdown",
-    "within_group_means",
     "group_ssr",
     "wgfe_objective",
     "gfe_objective",
     "wgfe_assign",
     "gfe_assign",
-    "update_alpha",
-    "gfe_update",
     "residual_profiles",
     "sigma_floor",
     "SolverConfig",

@@ -25,8 +25,10 @@ from .model import (
     GroupAssignment,
     PanelDataset,
     _clamped_sigma,
-    _demean_by_group,
+    _group_demeaned,
+    _group_gram,
     _profile_distances,
+    _stacked,
     group_ssr,
     residual_profiles,
     sigma_floor,
@@ -188,16 +190,15 @@ def group_covariances(data, theta, alpha, assignment):
     empty = np.nonzero(mass <= 0)[0]
     if empty.size:
         raise EmptyGroupError(empty + 1)
-    covs = []
-    for k in range(assignment.n_groups):
-        if soft:
+    if soft:
+        sigs = []
+        for k in range(assignment.n_groups):
             r = v - alpha[k]
-            sig = np.einsum("i,it,is->ts", assignment.weights[:, k], r, r)
-        else:
-            r = v[assignment.labels == k + 1] - alpha[k]
-            sig = r.T @ r
-        covs.append(SpdMatrix(sig / mass[k]))
-    return tuple(covs), mass / n
+            sigs.append(np.einsum("i,it,is->ts", assignment.weights[:, k], r, r))
+    else:
+        idx = assignment.labels - 1
+        sigs = _group_gram(idx, assignment.n_groups, v - alpha[idx])
+    return tuple(SpdMatrix(sig / m) for sig, m in zip(sigs, mass)), mass / n
 
 
 def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
@@ -365,14 +366,14 @@ def _inner_update(data, gamma, kernel, theta_seed):
     except NonConvergenceError as exc:
         theta = exc.last_iterate[0]
     idx = gamma.labels - 1
-    ybar, xbar, yt, xt = _demean_by_group(data, idx, gamma.counts())
-    # per-group cross products of z_i = [yt_i, xt_i], as (G, T, 1 + p, T, 1 + p)
-    z = np.concatenate([yt[:, :, None], xt], axis=2)
-    zs = [z[idx == g] for g in range(gamma.n_groups)]
-    cross = np.stack([np.tensordot(zg, zg, (0, 0)) for zg in zs])
+    zbar, zt = _group_demeaned(idx, gamma.counts(), _stacked(data))
+    # per-group cross products of zt_i = [yt_i, xt_i], as (G, T, 1 + p, T, 1 + p)
+    n, t, a = zt.shape
+    cross = _group_gram(idx, gamma.n_groups, zt.reshape(n, t * a))
+    cross = cross.reshape(gamma.n_groups, t, a, t, a)
 
     def effects(theta):
-        return ybar - xbar @ theta
+        return zbar[..., 0] - zbar[..., 1:] @ theta
 
     state = _criterion_at(data, theta, effects(theta), gamma)
     for _ in range(kernel.config.fp_max_iters if theta.size else 0):

@@ -19,7 +19,8 @@ from .model import (
     GroupAssignment,
     PanelDataset,
     _clamped_sigma,
-    _demean_by_group,
+    _group_demeaned,
+    _group_sums,
     gfe_objective,
     sigma_floor,
     wgfe_objective,
@@ -138,8 +139,7 @@ def variance_estimates(data: PanelDataset, result: EstimationResult) -> Inferenc
     idx = gamma.labels - 1
     u = _residuals(data, result)
 
-    u2_by_group = np.zeros((gamma.n_groups, t))
-    np.add.at(u2_by_group, idx, u * u)
+    u2_by_group = _group_sums(idx, gamma.n_groups, u * u)
     sigma2 = u2_by_group.sum(axis=1) / (t * counts)
     var_alpha = u2_by_group / counts[:, None] ** 2
 
@@ -155,7 +155,7 @@ def variance_estimates(data: PanelDataset, result: EstimationResult) -> Inferenc
     if n * t <= p:
         raise ValueError("panel too small for a degrees-of-freedom correction")
     sigma_hat = _clamped_sigma(sigma2, sigma_floor(data))
-    xt = _demean_by_group(data, idx, counts)[3]
+    xt = _group_demeaned(idx, counts, data.covariates)[1]
     w = 1.0 / sigma_hat[idx]
     bread = np.einsum("i,itp,itq->pq", w, xt, xt) / (n * t)
     scores = np.einsum("itp,it->ip", xt, u)

@@ -13,14 +13,15 @@ here.  The weighted criterion scores a candidate (theta, alpha, gamma) by
 with P_g the share of units in group g and Q_g the group's mean squared
 residual, so that noisy groups are discounted by their own scale.  The
 unweighted (GFE) criterion is the pooled mean squared residual
-sum_g P_g * Q_g.  Assignment rules, group means, and the closed-form
-parameter updates for both criteria complete the module.
+sum_g P_g * Q_g.  Assignment rules and the group sums and group Gram
+matrices that the fit kernel, the covariance extension and inference share
+complete the module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +32,11 @@ __all__ = [
     "GroupAssignment",
     "GroupParameters",
     "ObjectiveBreakdown",
-    "WithinGroupMeans",
-    "within_group_means",
     "group_ssr",
     "wgfe_objective",
     "gfe_objective",
     "wgfe_assign",
     "gfe_assign",
-    "update_alpha",
-    "gfe_update",
     "residual_profiles",
     "sigma_floor",
 ]
@@ -247,14 +244,6 @@ class ObjectiveBreakdown:
         object.__setattr__(self, "value", float(self.value))
 
 
-class WithinGroupMeans(NamedTuple):
-    """Group-by-period means; rows of empty groups are NaN sentinels."""
-
-    outcomes: np.ndarray
-    covariates: np.ndarray
-    empty: tuple
-
-
 def residual_profiles(data: PanelDataset, theta: np.ndarray) -> np.ndarray:
     """Per-unit residual paths y_i - x_i theta as an (N, T) array."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -286,31 +275,49 @@ def _group_index(data: PanelDataset, gamma: GroupAssignment) -> np.ndarray:
     return gamma.labels - 1
 
 
-def _group_means(data: PanelDataset, idx: np.ndarray, counts: np.ndarray):
-    """Group-by-period means ``(ybar (G, T), xbar (G, T, p))``.
+def _group_sums(idx: np.ndarray, n_groups: int, arr: np.ndarray) -> np.ndarray:
+    """Sums of the rows of ``arr`` over each group, as a (G, ...) array.
 
-    Rows of empty groups come out as 0/0; each caller applies its own
-    policy (NaN sentinels or a raise) and its own floating-point error state.
+    ``idx`` holds 0-based group indices, one per row of ``arr``; an empty
+    group sums to zero.  One weighted ``np.bincount`` over (group, entry)
+    bins adds each group's rows one at a time in row order, so the sums do
+    not depend on the array's shape or the BLAS build.
     """
-    g, t, p = counts.shape[0], data.n_periods, data.n_covariates
-    ybar = np.zeros((g, t))
-    np.add.at(ybar, idx, data.outcomes)
-    ybar /= counts[:, None]
-    xbar = np.zeros((g, t, p))
-    if p:
-        np.add.at(xbar, idx, data.covariates)
-        xbar /= counts[:, None, None]
-    return ybar, xbar
+    m = math.prod(arr.shape[1:])
+    bins = (idx[:, None] * m + np.arange(m)).ravel()
+    sums = np.bincount(bins, weights=arr.ravel(), minlength=n_groups * m)
+    return sums.reshape((n_groups,) + arr.shape[1:])
 
 
-def _demean_by_group(data: PanelDataset, idx: np.ndarray, counts: np.ndarray):
-    """Group means plus outcomes and covariates net of them.
+def _group_gram(idx: np.ndarray, n_groups: int, arr: np.ndarray) -> np.ndarray:
+    """Per-group sums of v v' over the vectors v on ``arr``'s last axis, as (G, m, m).
 
-    Returns ``(ybar, xbar, yt, xt)`` with ``yt`` of shape (N, T) and ``xt``
-    of shape (N, T, p); every group must be non-empty.
+    The sum runs over the group's rows of ``arr`` and over any middle axes;
+    an empty group gives zeros.
     """
-    ybar, xbar = _group_means(data, idx, counts)
-    return ybar, xbar, data.outcomes - ybar[idx], data.covariates - xbar[idx]
+    m = arr.shape[-1]
+    gram = np.empty((n_groups, m, m))
+    for k in range(n_groups):
+        rows = arr[idx == k]
+        v = rows.reshape(math.prod(rows.shape[:-1]), m)
+        gram[k] = v.T @ v
+    return gram
+
+
+def _stacked(data: PanelDataset) -> np.ndarray:
+    """Outcomes and covariates stacked as z = (y, x), of shape (N, T, 1 + p)."""
+    return np.concatenate([data.outcomes[:, :, None], data.covariates], axis=2)
+
+
+def _group_demeaned(idx: np.ndarray, counts: np.ndarray, arr: np.ndarray):
+    """Group means of the rows of ``arr`` and ``arr`` net of them.
+
+    Returns ``(means, demeaned)``, of shapes (G, ...) and ``arr.shape``;
+    every group must be non-empty.
+    """
+    means = _group_sums(idx, counts.shape[0], arr)
+    means /= counts.reshape((-1,) + (1,) * (arr.ndim - 1))
+    return means, arr - means[idx]
 
 
 def _two_way_demeaned(data: PanelDataset):
@@ -347,37 +354,12 @@ def _group_q(resid: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarr
     Empty groups come out as 0/0; each caller applies its own policy.
     """
     per_unit = np.einsum("it,it->i", resid, resid)
-    sums = np.bincount(idx, weights=per_unit, minlength=counts.shape[0])
-    return sums / (resid.shape[1] * counts)
+    return _group_sums(idx, counts.shape[0], per_unit) / (resid.shape[1] * counts)
 
 
 def _clamped_sigma(q: np.ndarray, floor: float) -> np.ndarray:
     """Group scales sqrt(Q_g), clamped below by ``floor`` (see :func:`sigma_floor`)."""
     return np.maximum(np.sqrt(q), floor)
-
-
-def within_group_means(
-    data: PanelDataset, gamma: GroupAssignment
-) -> WithinGroupMeans:
-    """Group-by-period averages of outcomes and covariates.
-
-    Parameters
-    ----------
-    data : PanelDataset
-    gamma : GroupAssignment
-
-    Returns
-    -------
-    WithinGroupMeans
-        ``outcomes`` has shape (G, T) and ``covariates`` (G, T, p).  Rows for
-        empty groups are NaN and their labels are listed in ``empty``; the
-        caller chooses the repair policy.
-    """
-    counts = gamma.counts()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ybar, xbar = _group_means(data, _group_index(data, gamma), counts)
-    empty = tuple(int(i) + 1 for i in np.nonzero(counts == 0)[0])
-    return WithinGroupMeans(ybar, xbar, empty)
 
 
 def group_ssr(
@@ -492,50 +474,6 @@ def gfe_assign(
     """Nearest-profile assignment: each unit to argmin_g ||v_i - alpha_g||^2."""
     d2 = _assignment_criterion(data, theta, alpha)
     return GroupAssignment(np.argmin(d2, axis=1) + 1, d2.shape[1])
-
-
-def update_alpha(
-    data: PanelDataset, theta: np.ndarray, gamma: GroupAssignment
-) -> np.ndarray:
-    """Optimal group effects at fixed slopes: alpha_gt = ybar_gt - xbar_gt' theta."""
-    means = within_group_means(data, gamma)
-    if means.empty:
-        raise EmptyGroupError(means.empty)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if data.n_covariates == 0:
-        return means.outcomes
-    return means.outcomes - means.covariates @ theta
-
-
-def gfe_update(data: PanelDataset, gamma: GroupAssignment):
-    """Closed-form pooled least squares at a fixed grouping.
-
-    Demeans outcomes and covariates by their group-by-period averages,
-    regresses the one on the other, and recovers the group effects from the
-    means.
-
-    Returns
-    -------
-    theta : ndarray, shape (p,)
-    alpha : ndarray, shape (G, T)
-
-    Raises
-    ------
-    EmptyGroupError
-        If the assignment leaves any group without members.
-    SingularDesignError
-        If the demeaned Gram matrix is numerically rank deficient.
-    """
-    idx = _group_index(data, gamma)
-    counts = gamma.counts()
-    if np.any(counts == 0):
-        raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
-    p = data.n_covariates
-    if p == 0:
-        return np.zeros(0), _group_means(data, idx, counts)[0]
-    ybar, xbar, yt, xt = _demean_by_group(data, idx, counts)
-    theta = _least_squares(xt.reshape(-1, p), yt.ravel())
-    return theta, ybar - xbar @ theta
 
 
 def _rank_deficient(gram: np.ndarray):

@@ -24,12 +24,14 @@ from .model import (
     PanelDataset,
     _assignment_criterion,
     _clamped_sigma,
+    _group_gram,
     _group_index,
     _group_q,
     _least_squares,
     _profile_distances,
     _rank_deficient,
     _singular_design,
+    _stacked,
     residual_profiles,
     sigma_floor,
 )
@@ -164,6 +166,12 @@ def solve_theta_fixed_point(
     NonConvergenceError
         If ``max_iters`` is exhausted; carries the last iterate and the
         stationarity residual.
+    SingularDesignError
+        If the group-demeaned design's smallest eigenvalue is at most
+        ``EPS_RANK`` times the period-demeaned design's mean eigenvalue
+        (the slopes are not identified at the grouping, as for a covariate
+        constant within each group and period), or a scale-weighted one's
+        is at most ``EPS_RANK`` times its own mean eigenvalue.
     """
     _group_index(data, gamma)
     config = SolverConfig(
@@ -230,10 +238,14 @@ class _Kernel:
     def __init__(self, data, config):
         self.config = config
         self.n_groups = config.n_groups
-        z = np.concatenate([data.outcomes[:, :, None], data.covariates], axis=2)
+        z = _stacked(data)
         self.centre = z.mean(axis=0)
         self.z = z - self.centre
         self.floor = sigma_floor(data)
+        # mean eigenvalue of the period-demeaned design's Gram matrix, which
+        # no grouping's within-group Gram matrix exceeds (zero when p = 0)
+        p = data.n_covariates
+        self.design_scale = float(np.sum(self.z[..., 1:] ** 2)) / max(p, 1)
 
     def stats(self, labels):
         """Counts (G,), means (G, T, 1 + p) and within-group cross products (G, (1 + p)^2).
@@ -246,18 +258,18 @@ class _Kernel:
         if np.any(counts == 0):
             raise EmptyGroupError(np.nonzero(counts == 0)[0] + 1)
         n, t, a = self.z.shape
+        # one one-hot matmul, not _group_sums: this is the search's hot path,
+        # and the fits' last digits follow the BLAS order of these sums
         members = (idx == np.arange(g)[:, None]).astype(float)
         sums = members @ self.z.reshape(n, t * a)
         means = sums.reshape(g, t, a) / counts[:, None, None]
-        dev = self.z - means[idx]
-        cross = [_outer_sums(dev[idx == k].reshape(1, -1, a)) for k in range(g)]
-        return counts, means, np.concatenate(cross)
+        cross = _group_gram(idx, g, self.z - means[idx])
+        return counts, means, cross.reshape(g, a * a)
 
     def fit(self, labels, seed=None):
         """The update at one grouping, as ``(theta, alpha, sigma, q, value)``.
 
-        Raises like :func:`solve_theta_fixed_point`, and
-        ``SingularDesignError`` on a rank-deficient weighted design.
+        Raises like :func:`solve_theta_fixed_point`.
         """
         counts, means, cross = self.stats(labels)
         seeds = None if seed is None else np.asarray(seed, dtype=float)[None]
@@ -339,15 +351,20 @@ class _Kernel:
         forms = cross * scale[..., None]
         roots = np.sqrt(np.maximum(forms[..., :: a + 1], 0.0) * _Q_ROUNDING)
         v = np.ones((k, a))
-        # rows whose weighted design was singular, with its smallest eigenvalue
+        # rows whose design was singular, with its smallest eigenvalue
         failed = np.zeros(k, dtype=bool)
         min_eigs = np.zeros(k)
-        # positive weights w_g scale the smallest eigenvalue of
-        # sum_g w_g M_g[x, x] by at least min w and its trace by at most max w,
-        # so the rank check can only fail where the unweighted design's
-        # margin does not cover twice the spread of the weights
         if a > 1:
             eigs = np.linalg.eigvalsh(cross.sum(axis=1).reshape(k, a, a)[:, 1:, 1:])
+            # a within-group design is unidentified when it nearly vanishes
+            # against the period-demeaned one, even if it is well conditioned
+            min_eigs = eigs[:, 0].copy()
+            failed = min_eigs <= EPS_RANK * self.design_scale
+            # positive weights w_g scale the smallest eigenvalue of
+            # sum_g w_g M_g[x, x] by at least min w and its trace by at most
+            # max w, so the weighted rank check can only fail where the
+            # unweighted design's margin does not cover twice the spread of
+            # the weights
             plain_min = eigs[:, 0] * (a - 1)
             plain_trace = 2.0 * EPS_RANK * eigs.sum(axis=1)
 
@@ -363,13 +380,16 @@ class _Kernel:
             both = (weights[:, None, :] @ cross).reshape(k, a, a)
             gram = both[:, 1:, 1:]
             spread = weights.max(axis=1) / weights.min(axis=1)
+            singular = failed.copy()
             if np.any(plain_min <= spread * plain_trace):
                 deficient, min_eig = _rank_deficient(gram)
                 newly = deficient & rows & ~failed
                 failed[newly] = True
                 min_eigs[newly] = min_eig[newly]
                 rows[newly] = False
-                gram = np.where(deficient[:, None, None], np.eye(a - 1), gram)
+                singular |= deficient
+            if singular.any():
+                gram = np.where(singular[:, None, None], np.eye(a - 1), gram)
             return np.linalg.solve(gram, both[:, 1:, :1])[..., 0]
 
         def norm(b):
@@ -562,7 +582,7 @@ def _lloyd_raw(data, config, theta, alpha, sigma, fit):
     return state, labels, tuple(trace[start:]), n_iters, converged
 
 
-def _build_result(config, state, labels, n_iters, converged, trace, n_restarts=1):
+def _build_result(config, state, labels, n_iters, converged, trace):
     theta, alpha, sigma, q, value = state
     gamma = GroupAssignment(labels, config.n_groups)
     weights = gamma.weights()
@@ -573,7 +593,7 @@ def _build_result(config, state, labels, n_iters, converged, trace, n_restarts=1
         breakdown=ObjectiveBreakdown(q, weights, value),
         mode=config.mode,
         n_lloyd_iters=n_iters,
-        n_restarts_used=n_restarts,
+        n_restarts_used=1,
         converged=converged,
         trace=trace,
     )

@@ -32,6 +32,22 @@ def make_grouped_dataset(rng, n=30, t=6, p=1, g=2, *, theta=None, alpha=None,
     return data, truth, {"theta": theta, "alpha": alpha, "sigma": sigma}
 
 
+def cell_constant_panel(seed=0, n=24, t=5, separation=10.0):
+    """Panel whose covariate is a standard normal level per (half of the units, period).
+
+    Grouped by half, the covariate is constant within every (group, period)
+    cell, so the group effects absorb it and its slope is unidentified; its
+    values are not exact in binary, so the within-group scatter is rounding
+    noise rather than zero.  The halves' outcomes sit ``separation`` apart.
+    Returns the panel and the grouping by half.
+    """
+    rng = np.random.default_rng(seed)
+    halves = np.repeat([1, 2], n // 2)
+    x = rng.standard_normal((2, t))[halves - 1][:, :, None]
+    y = separation * (halves[:, None] - 1.0) + rng.standard_normal((n, t))
+    return PanelDataset(y, x), GroupAssignment(halves, 2)
+
+
 def random_assignment(rng, n, g, *, nonempty=True):
     """Uniform random assignment; optionally guarantees no empty group."""
     while True:

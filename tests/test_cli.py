@@ -23,6 +23,8 @@ from wgfe import (
 )
 from wgfe.cli import emit_csv, ingest_csv, main
 
+from conftest import cell_constant_panel
+
 
 def load_schema(name):
     path = files("wgfe") / "schemas" / f"{name}.schema.json"
@@ -220,6 +222,17 @@ class TestEstimateCommand:
         assert out.returncode == 3
         assert len(out.stderr.splitlines()) == 1, out.stderr
         assert json.loads(out.stderr)["error"]["code"] == "singular_design"
+
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe", "ggfe"])
+    def test_unidentified_slope_exits_three(self, mode, tmp_path, capsys):
+        # every search reaches the grouping by half, where the group effects
+        # absorb the covariate
+        data, _ = cell_constant_panel()
+        panel = write_panel(tmp_path / "panel.csv", data)
+        rc = main(["estimate", panel, "--mode", mode, "--groups", "2", "--restarts", "3"])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["code"] == "singular_design"
 
     def test_input_problems_map_to_exit_two(self, tmp_path, capsys):
         rc = main(["estimate", str(tmp_path / "absent.csv")])

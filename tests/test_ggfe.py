@@ -25,13 +25,12 @@ from wgfe.model import (
     PanelDataset,
     gfe_objective,
     group_ssr,
-    update_alpha,
     wgfe_objective,
-    within_group_means,
 )
 from wgfe.solvers import SolverConfig, _Kernel, initialize, lloyd
 
 from conftest import make_grouped_dataset
+from reference import update_alpha, within_group_means
 
 
 def random_spd(rng, t, spread=1.0):

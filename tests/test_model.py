@@ -17,18 +17,18 @@ from wgfe.model import (
     GroupParameters,
     ObjectiveBreakdown,
     PanelDataset,
+    _group_gram,
+    _group_sums,
     gfe_assign,
     gfe_objective,
-    gfe_update,
     group_ssr,
     residual_profiles,
-    update_alpha,
     wgfe_assign,
     wgfe_objective,
-    within_group_means,
 )
 
 from conftest import make_dataset, random_assignment
+from reference import gfe_update, update_alpha, within_group_means
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,24 @@ def oracle_ssr(data, theta, alpha, gamma):
                 total += r * r
         q[gg - 1] = total / (t * len(members))
     return q
+
+
+def oracle_group_sums(idx, g, arr):
+    out = np.zeros((g,) + arr.shape[1:])
+    for i in range(arr.shape[0]):
+        out[idx[i]] += arr[i]
+    return out
+
+
+def oracle_group_gram(idx, g, arr):
+    m = arr.shape[-1]
+    out = np.zeros((g, m, m))
+    for i in range(arr.shape[0]):
+        for v in arr[i].reshape(int(np.prod(arr.shape[1:-1])), m):
+            for a in range(m):
+                for b in range(m):
+                    out[idx[i], a, b] += v[a] * v[b]
+    return out
 
 
 def oracle_assign_wgfe(data, theta, alpha, sigma):
@@ -167,7 +185,48 @@ class TestGroupParameters:
 
 
 # ---------------------------------------------------------------------------
-# group means and residual sums
+# group sums, group means and residual sums
+
+
+class TestGroupSumsAndGram:
+    CASES = [
+        # (N, G, shape of each row): a single group, a one-member group,
+        # zero-width rows, 3-D input reduced over its middle axis
+        (7, 1, (4,)),
+        (9, 3, (3, 2)),
+        (6, 2, (5, 0)),
+        (8, 3, (0,)),
+        (10, 2, (4, 3)),
+        (12, 4, ()),
+    ]
+
+    @pytest.mark.parametrize("n, g, shape", CASES)
+    def test_match_loop_oracles(self, rng, n, g, shape):
+        # with G > 1, group 0 has exactly one member
+        idx = np.zeros(n, int) if g == 1 else np.r_[0, rng.integers(1, g, n - 1)]
+        arr = 1e3 + rng.standard_normal((n,) + shape)
+        sums = _group_sums(idx, g, arr)
+        assert sums.shape == (g,) + shape
+        # rows are added one at a time in row order, exactly as the loop does
+        np.testing.assert_array_equal(sums, oracle_group_sums(idx, g, arr))
+        if not shape:
+            return
+        gram = _group_gram(idx, g, arr)
+        m = shape[-1]
+        assert gram.shape == (g, m, m)
+        np.testing.assert_allclose(gram, oracle_group_gram(idx, g, arr), rtol=1e-13)
+
+    def test_one_member_group_is_that_member(self, rng):
+        idx = np.array([1, 0, 1, 1])
+        arr = rng.standard_normal((4, 3, 2))
+        np.testing.assert_array_equal(_group_sums(idx, 2, arr)[0], arr[1])
+        np.testing.assert_array_equal(_group_gram(idx, 2, arr)[0], arr[1].T @ arr[1])
+
+    def test_empty_group_gives_zeros(self, rng):
+        idx = np.array([0, 2, 2, 0])
+        arr = rng.standard_normal((4, 3, 2))
+        assert not np.any(_group_sums(idx, 3, arr)[1])
+        assert not np.any(_group_gram(idx, 3, arr)[1])
 
 
 class TestWithinGroupMeans:
@@ -395,7 +454,7 @@ class TestAssignments:
 
 
 # ---------------------------------------------------------------------------
-# parameter updates
+# the reference updates of tests/reference.py, which other tests use as oracles
 
 
 class TestUpdateAlpha:

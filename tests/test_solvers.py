@@ -14,11 +14,9 @@ from wgfe.model import (
     GroupParameters,
     PanelDataset,
     gfe_objective,
-    gfe_update,
     group_ssr,
     residual_profiles,
     sigma_floor,
-    update_alpha,
     wgfe_objective,
 )
 from wgfe.solvers import (
@@ -32,7 +30,13 @@ from wgfe.solvers import (
     vns,
 )
 
-from conftest import make_grouped_dataset, make_dataset, random_assignment
+from conftest import (
+    cell_constant_panel,
+    make_dataset,
+    make_grouped_dataset,
+    random_assignment,
+)
+from reference import gfe_update, update_alpha
 
 
 def exhaustive_best(data, cfg):
@@ -157,6 +161,16 @@ class TestThetaFixedPoint:
         with pytest.raises(EmptyGroupError):
             solve_theta_fixed_point(data, GroupAssignment(np.ones(5, int), 2))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_covariate_constant_in_group_period_cells_is_singular(self, seed):
+        # the within-group scatter is rounding noise, so the design's own
+        # eigenvalues cannot tell it from a full-rank one
+        data, halves = cell_constant_panel(seed)
+        with pytest.raises(SingularDesignError, match="rank deficient"):
+            solve_theta_fixed_point(data, halves)
+        with pytest.raises(SingularDesignError):
+            gfe_update(data, halves)
+
     def test_iteration_cap_raises_with_iterate(self, rng):
         x = rng.standard_normal((30, 6, 2))
         lab = np.array([1, 2] * 15)
@@ -264,6 +278,17 @@ class TestKernel:
                 np.testing.assert_allclose(sigma, np.sqrt(ref_q), rtol=1e-9)
                 ref_value = crit(data, theta, alpha_hat, gamma).value
                 assert value == pytest.approx(ref_value, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["wgfe", "gfe"])
+    def test_unidentified_slope_raises(self, mode):
+        data, halves = cell_constant_panel()
+        kernel = _Kernel(data, SolverConfig(mode=mode, n_groups=2))
+        with pytest.raises(SingularDesignError, match="rank deficient"):
+            kernel.fit(halves.labels)
+        # any other grouping identifies the slope
+        other = halves.labels.copy()
+        other[[0, -1]] = other[[-1, 0]]
+        assert np.isfinite(kernel.fit(other)[0]).all()
 
     def test_single_member_groups_fit_exactly(self, rng):
         # a lone unit is its own group mean, in a fresh fit and after a move
