@@ -197,7 +197,7 @@ def group_covariances(data, theta, alpha, assignment):
             sigs.append(np.einsum("i,it,is->ts", assignment.weights[:, k], r, r))
     else:
         idx = assignment.labels - 1
-        sigs = _group_gram(idx, assignment.n_groups, v - alpha[idx])
+        sigs = _group_gram(idx, assignment.n_groups, v, alpha)
     return tuple(SpdMatrix(sig / m) for sig, m in zip(sigs, mass)), mass / n
 
 

@@ -251,9 +251,16 @@ def residual_profiles(data: PanelDataset, theta: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"theta must have length p={data.n_covariates}, got {theta.shape}"
         )
-    if data.n_covariates == 0:
+    n, t, p = data.covariates.shape
+    if p == 0:
         return data.outcomes.copy()
-    return data.outcomes - data.covariates @ theta
+    if t == 1:
+        # numpy takes each unit's one-row product as a dot product, whose
+        # last digits can differ from a matrix-vector product's
+        return data.outcomes - data.covariates @ theta
+    # one matrix-vector product over all N * T rows, bit for bit the
+    # per-unit (T, p) products of the stacked form
+    return data.outcomes - (data.covariates.reshape(n * t, p) @ theta).reshape(n, t)
 
 
 def sigma_floor(data: PanelDataset) -> float:
@@ -289,16 +296,22 @@ def _group_sums(idx: np.ndarray, n_groups: int, arr: np.ndarray) -> np.ndarray:
     return sums.reshape((n_groups,) + arr.shape[1:])
 
 
-def _group_gram(idx: np.ndarray, n_groups: int, arr: np.ndarray) -> np.ndarray:
+def _group_gram(
+    idx: np.ndarray, n_groups: int, arr: np.ndarray, means: np.ndarray = None
+) -> np.ndarray:
     """Per-group sums of v v' over the vectors v on ``arr``'s last axis, as (G, m, m).
 
     The sum runs over the group's rows of ``arr`` and over any middle axes;
-    an empty group gives zeros.
+    an empty group gives zeros.  With ``means`` (one row per group, shaped
+    like a row of ``arr``), each group's rows are taken net of its own row
+    of ``means`` first, without forming ``arr - means[idx]``.
     """
     m = arr.shape[-1]
     gram = np.empty((n_groups, m, m))
     for k in range(n_groups):
         rows = arr[idx == k]
+        if means is not None:
+            rows -= means[k]  # boolean indexing made ``rows`` a copy
         v = rows.reshape(math.prod(rows.shape[:-1]), m)
         gram[k] = v.T @ v
     return gram

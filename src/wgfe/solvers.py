@@ -9,6 +9,7 @@ and a systematic single-move local search to escape poor partitions, and
 
 from __future__ import annotations
 
+import copy
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -78,7 +79,9 @@ class SolverConfig:
     assignment_rule : {"alg1"}
         The scale-aware assignment rule of the paper's Algorithm 1.
     n_threads : int
-        Worker threads for restarts; results are identical for any value.
+        Worker threads for the restarts' jump phases in :func:`multi_start`
+        (the opening descents run in lockstep on the calling thread);
+        results are identical for any value.
     """
 
     mode: str = "wgfe"
@@ -263,7 +266,7 @@ class _Kernel:
         members = (idx == np.arange(g)[:, None]).astype(float)
         sums = members @ self.z.reshape(n, t * a)
         means = sums.reshape(g, t, a) / counts[:, None, None]
-        cross = _group_gram(idx, g, self.z - means[idx])
+        cross = _group_gram(idx, g, self.z, means)
         return counts, means, cross.reshape(g, a * a)
 
     def fit(self, labels, seed=None):
@@ -278,15 +281,14 @@ class _Kernel:
             raise out
         return out
 
-    def fit_labelings(self, labelings, seed):
+    def fit_labelings(self, labelings, seeds):
         """The update at each of the given 1-based label arrays, in one batch.
 
-        Every fit is seeded at ``seed``.  Returns one outcome per labeling:
+        Fit k is seeded at ``seeds[k]``.  Returns one outcome per labeling:
         its state, or the exception its fit raised.
         """
         counts, means, cross = (np.array(s) for s in zip(*map(self.stats, labelings)))
-        seeds = np.repeat(np.asarray(seed, dtype=float)[None], len(labelings), axis=0)
-        return self._solve(counts, means, cross, seeds)
+        return self._solve(counts, means, cross, np.array(seeds, dtype=float))
 
     def fit_moves(self, labels, seed, units, targets):
         """The update at each grouping one move away from ``labels``.
@@ -494,11 +496,20 @@ def initialize(
     nearest-profile assignment those rows induce, with empty groups falling
     back to the pooled residual scale.
     """
+    return _seeded_start(data, config, rng, *_pooled_start(data))
+
+
+def _pooled_start(data):
+    """The start slopes (see :func:`initialize`) and their residual profiles."""
+    theta = _initial_theta(data)
+    return theta, residual_profiles(data, theta)
+
+
+def _seeded_start(data, config, rng, theta, v):
+    """:func:`initialize` from the start slopes ``theta`` and their profiles ``v``."""
     n, g = data.n_units, config.n_groups
     if n < g:
         raise ValueError(f"need at least {g} units to seed {g} groups")
-    theta = _initial_theta(data)
-    v = residual_profiles(data, theta)
     rows = rng.choice(n, size=g, replace=False)
     alpha = v[rows].copy()
     d2 = _profile_distances(data, theta, alpha)
@@ -530,7 +541,10 @@ def lloyd(
     Starting from ``init``, assigns every unit by the rule, refreshes
     parameters at the new grouping, and repeats until the assignment stops
     changing or ``max_lloyd_iters`` is hit.  Assignments that empty a group
-    are repaired by reseeding the group from the worst-fit unit.
+    are repaired by reseeding the group from the worst-fit unit.  Every
+    grouping is fitted afresh, seeded at the previous fit's slopes.  This
+    is the one-row case of the lockstep descent :func:`multi_start` runs
+    over its restarts.
 
     The returned state is self-consistent: parameters are the update at the
     returned assignment, and the assignment reproduces itself under the rule
@@ -550,36 +564,102 @@ def lloyd(
     """
     if config.mode not in ("wgfe", "gfe"):
         raise ValueError(f"lloyd handles modes 'wgfe'/'gfe', got {config.mode!r}")
-
-    state, labels, trace, n_iters, converged = _lloyd_raw(
-        data, config, init.theta, init.alpha, init.sigma, _Kernel(data, config).fit
+    start = (init.theta, init.alpha, init.sigma)
+    state, labels, trace, n_iters, converged = _descend_one(
+        data, _Kernel(data, config), start, None
     )
     return _build_result(config, state, labels, n_iters, converged, trace)
 
 
-def _lloyd_raw(data, config, theta, alpha, sigma, fit):
-    labels = _repair_empty(*_assign(data, theta, alpha, sigma, config))
-    trace = []
-    state = None
-    converged = False
-    n_iters = 0
+def _fit_rows(kernel, labelings, seeds):
+    """``kernel.fit_labelings``, with a linear-algebra failure pinned to its own rows.
+
+    A batch that raises ``LinAlgError`` is refitted one labeling at a time,
+    so the error becomes the outcome of each labeling that raises it alone.
+    """
+    try:
+        return kernel.fit_labelings(labelings, seeds)
+    except np.linalg.LinAlgError as exc:
+        if len(labelings) == 1:
+            return [exc]
+        return [_fit_rows(kernel, [lab], [seed])[0] for lab, seed in zip(labelings, seeds)]
+
+
+def _descend(data, kernel, starts, caches):
+    """Lloyd descents from K starts in lockstep, as in :func:`lloyd`.
+
+    ``starts`` holds one ``(theta, alpha, sigma)`` per row, and ``caches``
+    one partition cache per row (a ``_Search.states`` dict, or None to fit
+    every grouping afresh).  Each round fits the groupings of all rows still
+    descending in one batched fixed point, each seeded at its own row's
+    slopes, with a row's cached groupings looked up instead; then each row
+    assigns and repairs on its own, and drops out once it converges or
+    fails.  Returns one outcome per row: ``(state, labels, trace, n_iters,
+    converged)``, or the package or linear-algebra error that ended it.
+    Row by row, outcomes and caches are those of descending alone.
+    """
+    config = kernel.config
+    k = len(starts)
+    outcomes, labels, seeds = [None] * k, [None] * k, [None] * k
+    traces = [[] for _ in range(k)]
+    active = []
+    for r, (theta, alpha, sigma) in enumerate(starts):
+        try:
+            labels[r] = _repair_empty(*_assign(data, theta, alpha, sigma, config))
+        except EmptyGroupError as exc:
+            outcomes[r] = exc
+            continue
+        seeds[r] = theta
+        active.append(r)
     for it in range(config.max_lloyd_iters):
-        n_iters = it + 1
-        seed = state[0] if state is not None else theta
-        state = fit(labels, seed)
-        trace.append(state[4])
-        labels_next = _repair_empty(*_assign(data, *state[:3], config))
-        if np.array_equal(labels_next, labels):
-            converged = True
+        keys = {r: kernel.key(labels[r]) for r in active if caches[r] is not None}
+        fits = {r: caches[r][key] for r, key in keys.items() if key in caches[r]}
+        misses = [r for r in active if r not in fits]
+        if misses:
+            outs = _fit_rows(kernel, [labels[r] for r in misses], [seeds[r] for r in misses])
+            for r, out in zip(misses, outs):
+                fits[r] = out
+                if r in keys and not isinstance(out, Exception):
+                    caches[r][keys[r]] = out
+        still = []
+        for r in active:
+            state = fits[r]
+            try:
+                if isinstance(state, Exception):
+                    raise state
+                traces[r].append(state[4])
+                labels_next = _repair_empty(*_assign(data, *state[:3], config))
+            except (WgfeError, np.linalg.LinAlgError) as exc:
+                outcomes[r] = exc
+                continue
+            converged = np.array_equal(labels_next, labels[r])
+            if converged or it == config.max_lloyd_iters - 1:
+                trace = _last_descent(traces[r])
+                outcomes[r] = (state, labels[r], trace, it + 1, converged)
+            else:
+                labels[r], seeds[r] = labels_next, state[0]
+                still.append(r)
+        active = still
+        if not active:
             break
-        if it == config.max_lloyd_iters - 1:
-            break
-        labels = labels_next
+    return outcomes
+
+
+def _descend_one(data, kernel, start, cache):
+    """One :func:`_descend` row; its error, if any, is raised."""
+    out = _descend(data, kernel, [start], [cache])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _last_descent(trace):
+    """The stretch of a Lloyd trace from its last objective rise on, as a tuple."""
     start = 0
     for i in range(1, len(trace)):
         if trace[i] > trace[i - 1] + 1e-12 * (1.0 + abs(trace[i - 1])):
             start = i
-    return state, labels, tuple(trace[start:]), n_iters, converged
+    return tuple(trace[start:])
 
 
 def _build_result(config, state, labels, n_iters, converged, trace):
@@ -638,7 +718,8 @@ def _draw_sweep(search, labels, seed, rng):
     fresh = [k for k, key in enumerate(keys) if key not in search.states]
     fits = [None] * len(jumps)
     if fresh:
-        for k, out in zip(fresh, search.fit_labelings([jumps[k] for k in fresh], seed)):
+        outs = search.fit_labelings([jumps[k] for k in fresh], [seed] * len(fresh))
+        for k, out in zip(fresh, outs):
             fits[k] = out
     return list(zip(keys, drawn, fits))
 
@@ -682,12 +763,11 @@ class _Search(_Kernel):
         hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
         return [(hi ^ a) << 64 | (lo ^ b) for a, b in zip(*change.tolist())]
 
-    def fit(self, labels, seed=None):
-        key = self.key(labels)
-        state = self.states.get(key)
-        if state is None:
-            state = self.states[key] = super().fit(labels, seed)
-        return state
+    def restart(self):
+        """A search on this one's kernel and key codes, with its own empty cache."""
+        other = copy.copy(self)
+        other.states = {}
+        return other
 
 
 def _local_search(labels, state, search):
@@ -765,7 +845,10 @@ def vns(
     ``vns_neigh_max``.  A jump whose fit, descent or local search does not
     converge counts as no improvement.  With ``vns_neigh_max=0``, or a
     single group (where no jump can move a unit), this is exactly one Lloyd
-    run.
+    run.  Each Lloyd descent is the one-row case of :func:`multi_start`'s
+    lockstep descent; :func:`multi_start` runs restart k as this function
+    would on substream k, with its opening descent in lockstep with the
+    other restarts'.
 
     The jumps of a sweep (n = 1 up to ``vns_neigh_max``, all from the same
     incumbent) are drawn ahead when it starts, and the ones not yet cached
@@ -786,11 +869,21 @@ def vns(
     cached neighbours and make no move.
     """
     search = _Search(data, config)
-    searched = set()
     init = initialize(data, config, rng)
-    best_state, best_labels, _, total_iters, converged = _lloyd_raw(
-        data, config, init.theta, init.alpha, init.sigma, search.fit
-    )
+    start = (init.theta, init.alpha, init.sigma)
+    opening = _descend_one(data, search, start, search.states)
+    return _jump_phase(data, rng, search, opening)
+
+
+def _jump_phase(data, rng, search, opening):
+    """The jumps, descents and local searches of one :func:`vns` run.
+
+    ``opening`` is the outcome of the run's opening descent, with its fits
+    in ``search``'s cache; returns the run's result.
+    """
+    config = search.config
+    best_state, best_labels, _, total_iters, converged = opening
+    searched = set()
     best_obj = best_state[4]
     improvements = [best_obj]
     g = config.n_groups
@@ -807,8 +900,8 @@ def vns(
                     if isinstance(fitted, Exception):
                         raise fitted
                     state_j = search.states[key_j] = fitted
-                state_c, labels_c, _, iters_d, conv_d = _lloyd_raw(
-                    data, config, *state_j[:3], search.fit
+                state_c, labels_c, _, iters_d, conv_d = _descend_one(
+                    data, search, state_j[:3], search.states
                 )
                 total_iters += iters_d
                 if search.key(labels_c) not in searched:
@@ -833,8 +926,16 @@ def vns(
 def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     """Best of ``n_restarts`` independently seeded searches.
 
-    Restart k draws from substream k of ``config.seed``, so the selected
-    result is identical whether restarts run serially or on a thread pool.
+    Restart k is :func:`vns` on substream k of ``config.seed``, and its
+    outcome is that search's, bit for bit.  The pooled start slopes are
+    computed once for all restarts.  The restarts' opening Lloyd descents
+    run in lockstep: each round fits every descending restart's grouping in
+    one batched fixed point, and a restart drops out once its descent
+    converges or fails.  Each restart then runs its jumps and local
+    searches on its own random stream and partition cache, on a pool of
+    ``n_threads`` threads when that is more than one; the selected result
+    is the same for any thread count.
+
     A later restart replaces the best so far only when it improves on it by
     more than the searches' own 1e-12 relative threshold, so ties (often
     the same partition with its labels permuted) go to the lowest restart
@@ -844,24 +945,10 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     failure if all of them are ``SingularDesignError`` (a design no grouping
     can fit), and ``NonConvergenceError`` otherwise.
     """
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
-
-    def run(k):
-        try:
-            return vns(data, config, np.random.default_rng(streams[k]))
-        except (WgfeError, np.linalg.LinAlgError) as exc:
-            return exc
-
-    if config.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            outcomes = list(pool.map(run, range(config.n_restarts)))
-    else:
-        outcomes = [run(k) for k in range(config.n_restarts)]
-
     best = None
     n_ok = 0
     failures = []
-    for k, out in enumerate(outcomes):
+    for k, out in enumerate(_restart_outcomes(data, config)):
         if isinstance(out, Exception):
             failures.append((k, out))
             continue
@@ -877,3 +964,32 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
             f"all {config.n_restarts} restarts failed; first error: {failures[0][1]}"
         ) from failures[0][1]
     return replace(best, n_restarts_used=n_ok)
+
+
+def _restart_outcomes(data, config):
+    """Per restart of :func:`multi_start`, its result or the error that ended it."""
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    start = _pooled_start(data)
+    inits = [_seeded_start(data, config, rng, *start) for rng in rngs]
+    kernel = _Search(data, config)
+    searches = [kernel.restart() for _ in rngs]
+    openings = _descend(
+        data,
+        kernel,
+        [(init.theta, init.alpha, init.sigma) for init in inits],
+        [search.states for search in searches],
+    )
+
+    def run(k):
+        if isinstance(openings[k], Exception):
+            return openings[k]
+        try:
+            return _jump_phase(data, rngs[k], searches[k], openings[k])
+        except (WgfeError, np.linalg.LinAlgError) as exc:
+            return exc
+
+    if config.n_threads > 1:
+        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
+            return list(pool.map(run, range(config.n_restarts)))
+    return [run(k) for k in range(config.n_restarts)]

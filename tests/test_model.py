@@ -228,6 +228,21 @@ class TestGroupSumsAndGram:
         assert not np.any(_group_sums(idx, 3, arr)[1])
         assert not np.any(_group_gram(idx, 3, arr)[1])
 
+    def test_means_are_taken_out_per_group_bitwise(self):
+        # netting each group's means inside the per-group loop equals
+        # netting them from the whole array first, bit for bit
+        for case in range(60):
+            r = np.random.default_rng(case)
+            n, t, g = int(r.integers(1, 301)), int(r.integers(1, 10)), int(r.integers(1, 5))
+            shape = ((t,), (t, int(r.integers(1, 5))))[case % 2]
+            idx = r.integers(0, g, n)
+            if g > 1 and case % 3 == 0:
+                idx[idx == g - 1] = 0  # an empty group
+            arr = 1e3 + r.standard_normal((n,) + shape)
+            means = r.standard_normal((g,) + shape)
+            got = _group_gram(idx, g, arr, means)
+            assert got.tobytes() == _group_gram(idx, g, arr - means[idx]).tobytes()
+
 
 class TestWithinGroupMeans:
     def test_matches_double_loop_oracle(self, rng):
@@ -550,3 +565,16 @@ class TestResidualProfiles:
         data = make_dataset(rng, n=3, t=2, p=2)
         with pytest.raises(ValueError, match="length"):
             residual_profiles(data, np.zeros(3))
+
+    def test_one_product_over_all_rows_is_the_stacked_product(self):
+        # x theta as one (N T, p) matrix-vector product must give, bit for
+        # bit, the stacked (N, T, p) @ (p,) product it replaces
+        for case in range(60):
+            r = np.random.default_rng(case)
+            n, t, p = int(r.integers(1, 301)), int(r.integers(1, 10)), int(r.integers(0, 4))
+            data = PanelDataset(
+                r.standard_normal((n, t)), r.standard_normal((n, t, p)) * 10.0 ** r.integers(-3, 4)
+            )
+            theta = r.standard_normal(p)
+            expect = data.outcomes - data.covariates @ theta
+            assert residual_profiles(data, theta).tobytes() == expect.tobytes()

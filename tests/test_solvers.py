@@ -395,6 +395,40 @@ def sequential_local_search(labels, state, fit, g, max_sweeps=100):
     return labels, state
 
 
+def sequential_lloyd(data, cfg, theta, alpha, sigma, fit):
+    """One Lloyd descent with one ``fit(labels, seed)`` per round, as a reference."""
+    labels = solvers._repair_empty(*solvers._assign(data, theta, alpha, sigma, cfg))
+    trace, state, converged, n_iters = [], None, False, 0
+    for it in range(cfg.max_lloyd_iters):
+        n_iters = it + 1
+        state = fit(labels, state[0] if state is not None else theta)
+        trace.append(state[4])
+        labels_next = solvers._repair_empty(*solvers._assign(data, *state[:3], cfg))
+        if np.array_equal(labels_next, labels):
+            converged = True
+            break
+        if it == cfg.max_lloyd_iters - 1:
+            break
+        labels = labels_next
+    start = 0
+    for i in range(1, len(trace)):
+        if trace[i] > trace[i - 1] + 1e-12 * (1.0 + abs(trace[i - 1])):
+            start = i
+    return state, labels, tuple(trace[start:]), n_iters, converged
+
+
+def cached_fit(search):
+    """A fit that keeps the first state of each labeling in ``search.states``."""
+
+    def fit(labels, seed):
+        key = search.key(labels)
+        if key not in search.states:
+            search.states[key] = search.fit(labels, seed)
+        return search.states[key]
+
+    return fit
+
+
 def sequential_vns(data, cfg, rng):
     """The shaking loop with one fit per jump, as a reference for ``vns``.
 
@@ -403,11 +437,12 @@ def sequential_vns(data, cfg, rng):
     many jump fits did not converge.
     """
     search = solvers._Search(data, cfg)
+    fit = cached_fit(search)
     searched = set()
     events = {"improved_at": [], "jump_stalls": 0}
     init = initialize(data, cfg, rng)
-    best_state, best_labels, _, total_iters, converged = solvers._lloyd_raw(
-        data, cfg, init.theta, init.alpha, init.sigma, search.fit
+    best_state, best_labels, _, total_iters, converged = sequential_lloyd(
+        data, cfg, init.theta, init.alpha, init.sigma, fit
     )
     improvements = [best_state[4]]
     g = cfg.n_groups
@@ -416,14 +451,14 @@ def sequential_vns(data, cfg, rng):
         while n <= cfg.vns_neigh_max:
             labels_j = solvers._jump(best_labels, g, n, rng)
             try:
-                state_j = search.fit(labels_j, best_state[0])
+                state_j = fit(labels_j, best_state[0])
             except NonConvergenceError:
                 events["jump_stalls"] += 1
                 n += 1
                 continue
             try:
-                state_c, labels_c, _, iters_d, conv_d = solvers._lloyd_raw(
-                    data, cfg, *state_j[:3], search.fit
+                state_c, labels_c, _, iters_d, conv_d = sequential_lloyd(
+                    data, cfg, *state_j[:3], fit
                 )
                 total_iters += iters_d
                 if search.key(labels_c) not in searched:
@@ -782,6 +817,86 @@ class TestMultiStart:
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.assignment.labels, b.assignment.labels)
 
+    # (panel seed, N, T, p, true scales, G, mode, fp_max_iters,
+    # vns_neigh_max, n_threads, n_restarts); panel 117 empties a group in its
+    # opening descents, and the fp_max_iters=4 panels fail some restarts only
+    RESTART_CASES = [
+        (701, 24, 3, 1, [0.3, 1.2], 1, "wgfe", 500, 3, 1, 3),
+        (702, 24, 4, 2, [0.3, 1.2], 1, "gfe", 500, 0, 2, 3),
+        (703, 30, 3, 1, [0.3, 1.2], 2, "wgfe", 500, 0, 1, 4),
+        (704, 30, 4, 0, [0.3, 1.2], 2, "gfe", 500, 3, 2, 4),
+        (705, 36, 3, 2, [0.3, 0.7, 1.5], 3, "wgfe", 500, 3, 2, 4),
+        (706, 36, 4, 1, [0.3, 0.7, 1.5], 3, "gfe", 500, 0, 1, 4),
+        (117, 16, 3, 1, [0.2, 2.0], 3, "wgfe", 500, 3, 1, 4),
+        (117, 16, 3, 1, [0.2, 2.0], 3, "gfe", 500, 0, 2, 4),
+        (800, 35, 4, 1, [0.3, 1.5], 2, "wgfe", 4, 3, 2, 8),
+        (814, 35, 4, 1, [0.3, 1.5], 2, "wgfe", 4, 0, 1, 8),
+    ]
+
+    def test_restart_k_matches_lone_vns_bitwise(self, monkeypatch):
+        # the lockstep opening descents and the per-restart jump phases give
+        # restart k exactly what vns alone gives on substream k
+        repaired = []
+        repair = solvers._repair_empty
+
+        def counting_repair(labels, crit, min_size=1):
+            out = repair(labels, crit, min_size)
+            repaired.append(out is not labels)
+            return out
+
+        monkeypatch.setattr(solvers, "_repair_empty", counting_repair)
+        mixed = 0
+        for seed, n, t, p, sigma, g, mode, fp_iters, neigh, threads, k in self.RESTART_CASES:
+            data, _, _ = make_grouped_dataset(
+                np.random.default_rng(seed), n=n, t=t, p=p, g=len(sigma), sigma=sigma
+            )
+            cfg = SolverConfig(
+                mode=mode, n_groups=g, n_restarts=k, seed=seed, fp_max_iters=fp_iters,
+                vns_iter_max=2, vns_neigh_max=neigh, n_threads=threads,
+            )
+            repaired.clear()
+            outs = solvers._restart_outcomes(data, cfg)
+            fired = any(repaired)
+            streams = np.random.SeedSequence(seed).spawn(k)
+            for out, stream in zip(outs, streams):
+                try:
+                    ref = vns(data, cfg, np.random.default_rng(stream))
+                except NonConvergenceError as exc:
+                    assert type(out) is type(exc) and str(out) == str(exc)
+                    continue
+                np.testing.assert_array_equal(out.assignment.labels, ref.assignment.labels)
+                for a, b in [
+                    (out.params.theta, ref.params.theta),
+                    (out.params.alpha, ref.params.alpha),
+                    (out.params.sigma, ref.params.sigma),
+                    (out.breakdown.per_group_ssr, ref.breakdown.per_group_ssr),
+                ]:
+                    assert a.tobytes() == b.tobytes()
+                assert out.objective == ref.objective
+                assert out.trace == ref.trace
+                assert out.n_lloyd_iters == ref.n_lloyd_iters
+                assert out.converged == ref.converged
+            n_ok = sum(not isinstance(out, Exception) for out in outs)
+            assert multi_start(data, cfg).n_restarts_used == n_ok
+            if seed == 117:
+                assert fired
+            if fp_iters == 4:
+                assert 0 < n_ok < k
+                mixed += 1
+        assert mixed == 2
+
+    def test_singular_start_is_logged_once_per_call(self, rng, caplog):
+        # the pooled start is fitted once for all restarts, so its fallback
+        # warning appears once, however many restarts run
+        x = rng.standard_normal((20, 4, 2))
+        x[:, :, 1] = 0.0
+        data = PanelDataset(rng.standard_normal((20, 4)), x)
+        with caplog.at_level(logging.WARNING, logger="wgfe.solvers"):
+            with pytest.raises(SingularDesignError):
+                multi_start(data, SolverConfig(n_groups=2, n_restarts=5))
+        warnings = [r for r in caplog.records if r.name == "wgfe.solvers"]
+        assert len(warnings) == 1 and "singular" in warnings[0].message
+
     def test_threaded_matches_serial_bitwise(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=20, t=4, p=1, g=2, sigma=[0.3, 0.9])
         base = dict(n_groups=2, n_restarts=6, seed=123, vns_iter_max=1, vns_neigh_max=2)
@@ -811,7 +926,8 @@ class TestMultiStart:
             outs = iter(
                 [replace(base, objective=1.0 - step * k, n_lloyd_iters=k) for k in range(4)]
             )
-            monkeypatch.setattr(solvers, "vns", lambda *args: next(outs))
+            # each restart's jump phase returns its canned result
+            monkeypatch.setattr(solvers, "_jump_phase", lambda *args: next(outs))
             assert multi_start(data, cfg).n_lloyd_iters == pick
 
     def test_more_restarts_never_hurt(self, rng):
@@ -829,11 +945,21 @@ class TestMultiStart:
         # only package and linear-algebra failures count as failed restarts
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
 
-        def broken_vns(data, config, rng):
+        def broken_jumps(data, rng, search, opening):
             raise TypeError("bug in the search")
 
-        monkeypatch.setattr(solvers, "vns", broken_vns)
+        monkeypatch.setattr(solvers, "_jump_phase", broken_jumps)
         with pytest.raises(TypeError, match="bug in the search"):
+            multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
+
+    def test_programming_error_in_the_lockstep_descent_propagates(self, rng, monkeypatch):
+        data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
+
+        def broken_repair(labels, crit, min_size=1):
+            raise TypeError("bug in the descent")
+
+        monkeypatch.setattr(solvers, "_repair_empty", broken_repair)
+        with pytest.raises(TypeError, match="bug in the descent"):
             multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
 
     def test_mixed_restart_failures_raise_non_convergence(self, rng, monkeypatch):
@@ -841,10 +967,10 @@ class TestMultiStart:
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
         errors = iter([SingularDesignError("rank deficient"), EmptyGroupError([2])])
 
-        def failing_vns(data, config, rng):
+        def failing_jumps(data, rng, search, opening):
             raise next(errors)
 
-        monkeypatch.setattr(solvers, "vns", failing_vns)
+        monkeypatch.setattr(solvers, "_jump_phase", failing_jumps)
         with pytest.raises(NonConvergenceError, match="all 2 restarts failed") as info:
             multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
         assert isinstance(info.value.__cause__, SingularDesignError)
