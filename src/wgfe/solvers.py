@@ -728,11 +728,14 @@ class _Search(_Kernel):
     """The kernel of one :func:`vns` run, with its partition cache.
 
     Partitions recur constantly across jump cycles.  ``states`` maps the key
-    of a labeling to the first state fitted for it and used: by :meth:`fit`,
-    by a local-search batch (every move it fits), or from a sweep's batch of
-    jumps once :func:`vns` reaches that jump; jump fits that the search
-    never reaches are not kept.  :meth:`fit` returns a stored state
-    verbatim.
+    of a labeling to the first state fitted for it and used, and is written
+    once per key: by :func:`_descend` (each grouping of a Lloyd descent), by
+    :func:`_local_search` (every move a batch fits), or by
+    :func:`_jump_phase` for a jump of :func:`_draw_sweep`'s batch once the
+    search reaches it; jump fits that the search never reaches are not
+    kept.  Each writer first looks the key up and uses a stored state
+    verbatim, so a key's state never changes once stored; ``_polish``
+    relies on that.  Failed fits are never stored.
 
     Labelings are keyed by a 128-bit Zobrist hash: two independent random
     64-bit codes per (unit, group), XORed over the units.  A single move
@@ -784,12 +787,16 @@ def _local_search(labels, state, search):
     accepted move keeps the full fixed-point fit its batch computed (see
     :meth:`_Kernel.fit_moves`).  A move whose fit does not converge is
     skipped; a singular design raises when the scan reaches its move.
+
+    Returns ``(labels, state, clean)``, where ``clean`` says that the scan
+    skipped no move.
     """
     obj = state[4]
     key = search.key(labels)
     n, g = labels.shape[0], search.n_groups
     if g == 1:
-        return labels, state
+        return labels, state, True
+    clean = True
     per_batch = max(_MOVE_BATCH // (g - 1), 1)
     for _ in range(_MAX_SWEEPS):
         improved = False
@@ -816,6 +823,7 @@ def _local_search(labels, state, search):
                         search.states[keys[k]] = out
             for k, out in enumerate(outcomes):
                 if isinstance(out, NonConvergenceError):
+                    clean = False
                     continue
                 if isinstance(out, Exception):
                     raise out
@@ -828,6 +836,32 @@ def _local_search(labels, state, search):
                     break
         if not improved:
             break
+    return labels, state, clean
+
+
+def _polish(labels, state, search, polished):
+    """:func:`_local_search` from a descent's end, remembered in ``polished``.
+
+    ``polished`` maps the key of a grouping to the ``(labels, state)`` that
+    a local search returned from it: every search's result, and the start
+    of every clean one.  A grouping found there is not scanned again.
+
+    This is exact because ``search.states`` is written once per key: a
+    descent ends on the cached state of its grouping, and a clean search
+    rerun from the same grouping reads the same cached values in the same
+    order, so it takes the same path.  A search that skipped a stalled move
+    is not remembered by its start, since a later fit from another seed may
+    cache an improving state for that move.  A result's own entry replaces
+    any start entry for it: a descent that lands on an earlier result keeps
+    it, as :func:`vns` always has.
+    """
+    start = search.key(labels)
+    if start in polished:
+        return polished[start]
+    labels, state, clean = _local_search(labels, state, search)
+    if clean:
+        polished.setdefault(start, (labels, state))
+    polished[search.key(labels)] = labels, state
     return labels, state
 
 
@@ -863,10 +897,12 @@ def vns(
     generator's state afterwards, is that of drawing and fitting one jump
     at a time.
 
-    Fits are cached per labeling for the whole run (see ``_Search``).  When
-    a Lloyd descent lands on a grouping that an earlier local search of this
-    run returned, the local search is skipped: it would rescan the same
-    cached neighbours and make no move.
+    Fits are cached per labeling for the whole run (see ``_Search``), and
+    local searches are remembered by grouping (see ``_polish``).  A Lloyd
+    descent that lands on a grouping an earlier local search of this run
+    returned, or started from and skipped no move, takes that search's
+    result without rescanning: a rescan would read the same cached
+    neighbours in the same order and reach the same result.
     """
     search = _Search(data, config)
     init = initialize(data, config, rng)
@@ -883,7 +919,7 @@ def _jump_phase(data, rng, search, opening):
     """
     config = search.config
     best_state, best_labels, _, total_iters, converged = opening
-    searched = set()
+    polished = {}
     best_obj = best_state[4]
     improvements = [best_obj]
     g = config.n_groups
@@ -904,9 +940,7 @@ def _jump_phase(data, rng, search, opening):
                     data, search, state_j[:3], search.states
                 )
                 total_iters += iters_d
-                if search.key(labels_c) not in searched:
-                    labels_c, state_c = _local_search(labels_c, state_c, search)
-                    searched.add(search.key(labels_c))
+                labels_c, state_c = _polish(labels_c, state_c, search, polished)
             except NonConvergenceError:
                 n += 1
                 continue

@@ -462,7 +462,7 @@ def sequential_vns(data, cfg, rng):
                 )
                 total_iters += iters_d
                 if search.key(labels_c) not in searched:
-                    labels_c, state_c = solvers._local_search(labels_c, state_c, search)
+                    labels_c, state_c, _ = solvers._local_search(labels_c, state_c, search)
                     searched.add(search.key(labels_c))
             except NonConvergenceError:
                 n += 1
@@ -506,12 +506,56 @@ class TestLocalSearch:
                 return cache[key]
 
             ref_labels, ref_state = sequential_local_search(labels, state, fit, g)
-            got_labels, got_state = solvers._local_search(
+            got_labels, got_state, _ = solvers._local_search(
                 labels, state, solvers._Search(data, cfg)
             )
             np.testing.assert_array_equal(got_labels, ref_labels)
             assert got_state[4] == pytest.approx(ref_state[4], rel=1e-12)
         assert stalled > 0  # some candidate fits hit the iteration cap
+
+    @pytest.mark.parametrize("seed", [14, 37, 101])
+    def test_a_search_that_skipped_a_stall_is_rescanned(self, seed):
+        # the first move the scan reaches stalls and is skipped; once an
+        # improving state for it is cached, a new search from the same start
+        # takes that move, so only a search that skipped nothing may be
+        # remembered by its start
+        r = np.random.default_rng(seed)
+        g, n = int(r.integers(2, 4)), int(r.integers(10, 30))
+        data, _, _ = make_grouped_dataset(r, n=n, t=4, p=1, g=g, sigma=np.linspace(0.3, 1.5, g))
+        cfg = SolverConfig(n_groups=g, fp_max_iters=2)
+        settled = _Kernel(data, replace(cfg, fp_max_iters=500))
+        labels = random_assignment(r, n, g).labels
+        labels.setflags(write=False)
+        state = settled.fit(labels)
+        search = solvers._Search(data, cfg)
+        search.states[search.key(labels)] = state
+        units, targets = np.repeat(np.arange(n), g), np.tile(np.arange(1, g + 1), n)
+        counts = np.bincount(labels - 1, minlength=g)
+        keep = (targets != labels[units]) & (counts[labels[units] - 1] > 1)
+        units, targets = units[keep], targets[keep]
+        outs = search.fit_moves(labels, state[0], units, targets)
+        obj = state[4]
+        reached = next(
+            k for k, out in enumerate(outs)
+            if isinstance(out, NonConvergenceError) or out[4] < obj - 1e-12 * (1.0 + abs(obj))
+        )
+        assert isinstance(outs[reached], NonConvergenceError)
+        moved = labels.copy()
+        moved[units[reached]] = targets[reached]
+
+        polished = {}
+        first_labels, _ = solvers._polish(labels, state, search, polished)
+        assert not np.array_equal(first_labels, labels)
+        improving = settled.fit(moved, state[0])
+        assert improving[4] < obj - 1e-12 * (1.0 + abs(obj))
+        search.states[search.key(moved)] = improving
+        fresh = search.restart()
+        fresh.states = dict(search.states)
+        ref_labels, ref_state, _ = solvers._local_search(labels, state, fresh)
+        got_labels, got_state = solvers._polish(labels, state, search, polished)
+        np.testing.assert_array_equal(got_labels, ref_labels)
+        assert got_state[4] == ref_state[4]
+        assert not np.array_equal(got_labels, first_labels)
 
 
 class TestInitialize:
@@ -744,9 +788,11 @@ class TestVns:
         assert res.objective == one_pass.objective
         np.testing.assert_array_equal(res.params.theta, one_pass.params.theta)
 
-    def test_matches_sequential_reference_bitwise(self):
+    def test_matches_sequential_reference_bitwise(self, monkeypatch):
         # (seed, N, G, p, mode, fp_max_iters); the cap of 4 makes some jump
-        # fits stall, and improvements land before the largest jump
+        # fits stall, and improvements land before the largest jump; the
+        # reference scans at every descent that lands off an earlier result,
+        # while vns takes some of those searches from memory
         panels = [
             (701, 34, 3, 2, "wgfe", 500),
             (705, 50, 3, 0, "wgfe", 500),
@@ -758,6 +804,15 @@ class TestVns:
             (710, 42, 2, 2, "gfe", 500),
         ]
         improved_at, stalls = [], 0
+        scans = {"ref": 0, "got": 0}
+        local_search = solvers._local_search
+        side = "ref"
+
+        def counting_search(*args):
+            scans[side] += 1
+            return local_search(*args)
+
+        monkeypatch.setattr(solvers, "_local_search", counting_search)
         for seed, n, g, p, mode, fp_max_iters in panels:
             r = np.random.default_rng(seed)
             data, _, _ = make_grouped_dataset(
@@ -768,7 +823,9 @@ class TestVns:
                 vns_iter_max=3, vns_neigh_max=6,
             )
             ref_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            side = "ref"
             ref, events = sequential_vns(data, cfg, ref_rng)
+            side = "got"
             got = vns(data, cfg, got_rng)
             state, labels, trace, n_iters, converged = ref
             np.testing.assert_array_equal(got.assignment.labels, labels)
@@ -784,6 +841,7 @@ class TestVns:
             stalls += events["jump_stalls"]
         assert any(n < 6 for n in improved_at)  # the rest of a sweep is discarded
         assert stalls > 0
+        assert 0 < scans["got"] < scans["ref"]
 
     def test_search_steps_never_write_their_input_labels(self, rng):
         # each step hands on a read-only array; a write into it would raise
@@ -800,7 +858,7 @@ class TestVns:
         repaired = solvers._repair_empty(keep(labels), rng.standard_normal((20, 3)))
         jumped = solvers._jump(keep(repaired), 3, 5, np.random.default_rng(1))
         search = solvers._Search(data, cfg)
-        searched, _ = solvers._local_search(keep(jumped), search.fit(jumped), search)
+        searched, _, _ = solvers._local_search(keep(jumped), search.fit(jumped), search)
         assert np.bincount(repaired - 1, minlength=3).min() >= 1
         for arr, copy in given:
             assert not arr.flags.writeable
@@ -884,6 +942,50 @@ class TestMultiStart:
                 assert 0 < n_ok < k
                 mixed += 1
         assert mixed == 2
+
+    def test_partition_cache_is_written_once_per_key(self, monkeypatch):
+        # a local search may be taken from memory only because every cached
+        # state stays as first stored; a second write to a key would raise
+        class WriteOnce(dict):
+            def __setitem__(self, key, value):
+                assert key not in self, "cache key written twice"
+                super().__setitem__(key, value)
+
+        restart = solvers._Search.restart
+
+        def write_once_restart(search):
+            other = restart(search)
+            other.states = WriteOnce()
+            return other
+
+        searches = {"clean": 0, "stalled": 0}
+        local_search = solvers._local_search
+
+        def counting_search(labels, state, search):
+            out = local_search(labels, state, search)
+            searches["clean" if out[2] else "stalled"] += 1
+            return out
+
+        monkeypatch.setattr(solvers._Search, "restart", write_once_restart)
+        monkeypatch.setattr(solvers, "_local_search", counting_search)
+        # (panel seed, N, p, true scales, mode, fp_max_iters)
+        cases = [
+            (800, 35, 1, [0.3, 1.5], "wgfe", 4),
+            (704, 30, 2, [0.3, 1.2], "gfe", 500),
+            (707, 40, 1, [0.3, 0.7, 1.5], "wgfe", 4),
+            (706, 36, 1, [0.3, 0.7, 1.5], "gfe", 500),
+        ]
+        for seed, n, p, sigma, mode, fp_iters in cases:
+            data, _, _ = make_grouped_dataset(
+                np.random.default_rng(seed), n=n, t=4, p=p, g=len(sigma), sigma=sigma
+            )
+            cfg = SolverConfig(
+                mode=mode, n_groups=len(sigma), n_restarts=4, seed=seed,
+                fp_max_iters=fp_iters, vns_iter_max=3, vns_neigh_max=4,
+            )
+            outs = solvers._restart_outcomes(data, cfg)
+            assert any(isinstance(out, EstimationResult) for out in outs)
+        assert searches["clean"] > 0 and searches["stalled"] > 0
 
     def test_singular_start_is_logged_once_per_call(self, rng, caplog):
         # the pooled start is fitted once for all restarts, so its fallback
