@@ -68,7 +68,8 @@ class SolverConfig:
     max_lloyd_iters : int
         Cap on assignment/update rounds within one Lloyd run.
     fp_tol, fp_max_iters : float, int
-        Relative tolerance and cap for the slope fixed point.
+        Relative tolerance (positive and finite) and cap for the slope
+        fixed point.
     vns_iter_max, vns_neigh_max : int
         Outer rounds and largest jump size of the neighborhood search.
         Setting both such that no jump runs (``vns_neigh_max=0``) reduces
@@ -105,8 +106,8 @@ class SolverConfig:
             raise ValueError("n_restarts must be at least 1")
         if self.max_lloyd_iters < 1:
             raise ValueError("max_lloyd_iters must be at least 1")
-        if self.fp_tol <= 0:
-            raise ValueError("fp_tol must be positive")
+        if not 0 < self.fp_tol < np.inf:
+            raise ValueError(f"fp_tol must be positive and finite, got {self.fp_tol!r}")
         if self.fp_max_iters < 1:
             raise ValueError("fp_max_iters must be at least 1")
         if self.vns_iter_max < 0 or self.vns_neigh_max < 0:
@@ -197,6 +198,13 @@ _KEY_SEED = 20231
 #: about this factor times eps of relative precision.
 _DOWNDATE_LIMIT = 2.0**8
 
+#: Moving m units' statistics (:meth:`_Kernel.move_units`) costs about
+#: what rebuilding them costs at _MOVE_RATIO * (m + _MOVE_OVERHEAD) units:
+#: timed on one core at N from 90 to 10^4, G = 2 and 3, T = 7, p = 2.  A
+#: round that moves more rebuilds them from all units.
+_MOVE_RATIO = 4
+_MOVE_OVERHEAD = 100
+
 #: Most single moves the local search fits in one batched fixed point
 #: (whole units at a time, so at least one unit's moves).
 _MOVE_BATCH = 256
@@ -221,8 +229,11 @@ class _Kernel:
 
         M_g = sum_{i in g} sum_t (z_it - zbar_gt) (z_it - zbar_gt)',
 
-    summed from group-centred rows, so that neither a shift of the data nor
-    groups that sit far apart cancel digits.  With v = (1, -theta),
+    summed from group-centred rows (:meth:`stats`), so that neither a shift
+    of the data nor groups that sit far apart cancel digits; a Lloyd round
+    may instead move the previous grouping's statistics by the units that
+    changed group (:meth:`move_units`), under the same guard against a
+    lossy downdate as a single move.  With v = (1, -theta),
     Q_g(theta) = v' M_g v / (T n_g); the weighted normal equations are
     sum_g M_g[x, x] / sigma_g and sum_g M_g[x, y] / sigma_g.  The slope
     fixed point therefore runs on G small matrices and never touches the
@@ -235,7 +246,17 @@ class _Kernel:
         M_h + n_h / (n_h + 1) sum_t d_ht d_ht',
         M_s - n_s / (n_s - 1) sum_t d_st d_st',
 
-    so :meth:`fit_moves` fits a whole neighbourhood in one batch.
+    so :meth:`fit_moves` fits a whole neighbourhood in one batch.  Moving a
+    set of units is the pairwise form of the same update (Chan, Golub and
+    LeVeque), in deviations from a group's mean before the move: with
+    e_i = z_i - zbar for the units that leave the group, f_j = z_j - zbar
+    for those that arrive and s = sum_j f_j - sum_i e_i, the group's n'
+    members after the move have
+
+        zbar + s / n',
+        M + sum_j sum_t f_jt f_jt' - sum_i sum_t e_it e_it' - sum_t s_t s_t' / n',
+
+    which is taking the leavers out and then adding the arrivals.
     """
 
     def __init__(self, data, config):
@@ -269,6 +290,46 @@ class _Kernel:
         cross = _group_gram(idx, g, self.z, means)
         return counts, means, cross.reshape(g, a * a)
 
+    def move_units(self, stats, labels, new):
+        """The statistics of ``new``, moved from ``stats``, those of ``labels``.
+
+        Each group loses the units that left it and gains the units that
+        arrived, in one pass, as in the class docstring; ``stats`` is read
+        and never written.  Falls back to ``stats(new)`` when so many units
+        moved that a rebuild costs less (``_MOVE_RATIO``), when a group
+        loses all its members, or when what a group's update subtracts
+        exceeds ``_DOWNDATE_LIMIT`` times what is left (per variable), the
+        test of :meth:`fit_moves`.
+        """
+        units = np.flatnonzero(labels != new)
+        if _MOVE_RATIO * (units.size + _MOVE_OVERHEAD) > labels.shape[0]:
+            return self.stats(new)
+        g = self.n_groups
+        src, dst = labels[units] - 1, new[units] - 1
+        counts, means, cross = stats
+        out = np.bincount(src, minlength=g)
+        if not (counts - out).all():
+            return self.stats(new)
+        t, a = means.shape[1:]
+        # deviations of the leavers (sides 0..G-1) and of the arrivals (sides
+        # G..2G-1) from the mean their group has before the move
+        sides = np.concatenate([src, dst + g])
+        dev = self.z[np.concatenate([units, units])] - means[np.concatenate([src, dst])]
+        members = (sides == np.arange(2 * g)[:, None]).astype(float)
+        sums = (members @ dev.reshape(-1, t * a)).reshape(2, g, t, a)
+        grams = _group_gram(sides, 2 * g, dev).reshape(2, g, a * a)
+        shift = sums[1] - sums[0]
+        counts = counts - out + np.bincount(dst, minlength=g)
+        removed = grams[0] + _outer_sums(shift) / counts[:, None]
+        cross = cross + grams[1] - removed
+        # a lone member has no spread about its own mean
+        lone = counts == 1
+        cross[lone] = 0.0
+        lossy = removed[:, :: a + 1] > _DOWNDATE_LIMIT * cross[:, :: a + 1]
+        if lossy[~lone].any():
+            return self.stats(new)
+        return counts, means + shift / counts[:, None, None], cross
+
     def fit(self, labels, seed=None):
         """The update at one grouping, as ``(theta, alpha, sigma, q, value)``.
 
@@ -281,13 +342,15 @@ class _Kernel:
             raise out
         return out
 
-    def fit_labelings(self, labelings, seeds):
-        """The update at each of the given 1-based label arrays, in one batch.
+    def fit_stats(self, stats, seeds):
+        """The update at each grouping of ``stats``, in one batch.
 
-        Fit k is seeded at ``seeds[k]``.  Returns one outcome per labeling:
-        its state, or the exception its fit raised.
+        ``stats`` holds one ``(counts, means, cross)`` per grouping, as
+        :meth:`stats` returns them, and fit k is seeded at ``seeds[k]``.
+        Returns one outcome per grouping: its state, or the exception its
+        fit raised.
         """
-        counts, means, cross = (np.array(s) for s in zip(*map(self.stats, labelings)))
+        counts, means, cross = (np.array(s) for s in zip(*stats))
         return self._solve(counts, means, cross, np.array(seeds, dtype=float))
 
     def fit_moves(self, labels, seed, units, targets):
@@ -542,9 +605,13 @@ def lloyd(
     parameters at the new grouping, and repeats until the assignment stops
     changing or ``max_lloyd_iters`` is hit.  Assignments that empty a group
     are repaired by reseeding the group from the worst-fit unit.  Every
-    grouping is fitted afresh, seeded at the previous fit's slopes.  This
-    is the one-row case of the lockstep descent :func:`multi_start` runs
-    over its restarts.
+    grouping is fitted afresh, seeded at the previous fit's slopes, from
+    its per-group statistics; after the first grouping these are moved
+    from the previous grouping's by the units that changed group, unless
+    so many moved that a rebuild from all units is cheaper or the move
+    would lose precision (see ``_Kernel.move_units``).  This is the
+    one-row case of the lockstep descent :func:`multi_start` runs over its
+    restarts.
 
     The returned state is self-consistent: parameters are the update at the
     returned assignment, and the assignment reproduces itself under the rule
@@ -571,18 +638,19 @@ def lloyd(
     return _build_result(config, state, labels, n_iters, converged, trace)
 
 
-def _fit_rows(kernel, labelings, seeds):
-    """``kernel.fit_labelings``, with a linear-algebra failure pinned to its own rows.
+def _fit_rows(kernel, stats, seeds):
+    """``kernel.fit_stats``, with a linear-algebra failure pinned to its own rows.
 
-    A batch that raises ``LinAlgError`` is refitted one labeling at a time,
-    so the error becomes the outcome of each labeling that raises it alone.
+    A batch that raises ``LinAlgError`` is refitted one row at a time, from
+    the same statistics, so the error becomes the outcome of each row that
+    raises it alone.
     """
     try:
-        return kernel.fit_labelings(labelings, seeds)
+        return kernel.fit_stats(stats, seeds)
     except np.linalg.LinAlgError as exc:
-        if len(labelings) == 1:
+        if len(stats) == 1:
             return [exc]
-        return [_fit_rows(kernel, [lab], [seed])[0] for lab, seed in zip(labelings, seeds)]
+        return [_fit_rows(kernel, [one], [seed])[0] for one, seed in zip(stats, seeds)]
 
 
 def _descend(data, kernel, starts, caches):
@@ -597,10 +665,20 @@ def _descend(data, kernel, starts, caches):
     fails.  Returns one outcome per row: ``(state, labels, trace, n_iters,
     converged)``, or the package or linear-algebra error that ended it.
     Row by row, outcomes and caches are those of descending alone.
+
+    A row keeps the statistics of the last grouping it fitted, and the key
+    of its current grouping.  A row's first grouping is fitted from
+    ``kernel.stats``; each later one from the kept statistics, moved by the
+    units that changed group since (``kernel.move_units``), and its key
+    from the previous key, changed by the codes of the units that moved
+    (``kernel.key_after``).  Neither is rebuilt from all N units unless
+    the move falls back to ``kernel.stats``.
     """
     config = kernel.config
     k = len(starts)
-    outcomes, labels, seeds = [None] * k, [None] * k, [None] * k
+    outcomes, labels, seeds, keys = [None] * k, [None] * k, [None] * k, [None] * k
+    # per row, the (labels, stats) of the last grouping it fitted
+    fitted = [None] * k
     traces = [[] for _ in range(k)]
     active = []
     for r, (theta, alpha, sigma) in enumerate(starts):
@@ -610,16 +688,28 @@ def _descend(data, kernel, starts, caches):
             outcomes[r] = exc
             continue
         seeds[r] = theta
+        if caches[r] is not None:
+            keys[r] = kernel.key(labels[r])
         active.append(r)
     for it in range(config.max_lloyd_iters):
-        keys = {r: kernel.key(labels[r]) for r in active if caches[r] is not None}
-        fits = {r: caches[r][key] for r, key in keys.items() if key in caches[r]}
+        fits = {
+            r: caches[r][keys[r]]
+            for r in active
+            if caches[r] is not None and keys[r] in caches[r]
+        }
         misses = [r for r in active if r not in fits]
         if misses:
-            outs = _fit_rows(kernel, [labels[r] for r in misses], [seeds[r] for r in misses])
-            for r, out in zip(misses, outs):
+            stats = [
+                kernel.stats(labels[r])
+                if fitted[r] is None
+                else kernel.move_units(fitted[r][1], fitted[r][0], labels[r])
+                for r in misses
+            ]
+            outs = _fit_rows(kernel, stats, [seeds[r] for r in misses])
+            for r, one, out in zip(misses, stats, outs):
                 fits[r] = out
-                if r in keys and not isinstance(out, Exception):
+                fitted[r] = labels[r], one
+                if caches[r] is not None and not isinstance(out, Exception):
                     caches[r][keys[r]] = out
         still = []
         for r in active:
@@ -631,12 +721,16 @@ def _descend(data, kernel, starts, caches):
                 labels_next = _repair_empty(*_assign(data, *state[:3], config))
             except (WgfeError, np.linalg.LinAlgError) as exc:
                 outcomes[r] = exc
+                fitted[r] = None
                 continue
             converged = np.array_equal(labels_next, labels[r])
             if converged or it == config.max_lloyd_iters - 1:
                 trace = _last_descent(traces[r])
                 outcomes[r] = (state, labels[r], trace, it + 1, converged)
+                fitted[r] = None
             else:
+                if caches[r] is not None:
+                    keys[r] = kernel.key_after(keys[r], labels[r], labels_next)
                 labels[r], seeds[r] = labels_next, state[0]
                 still.append(r)
         active = still
@@ -718,7 +812,7 @@ def _draw_sweep(search, labels, seed, rng):
     fresh = [k for k, key in enumerate(keys) if key not in search.states]
     fits = [None] * len(jumps)
     if fresh:
-        outs = search.fit_labelings([jumps[k] for k in fresh], [seed] * len(fresh))
+        outs = search.fit_stats([search.stats(jumps[k]) for k in fresh], [seed] * len(fresh))
         for k, out in zip(fresh, outs):
             fits[k] = out
     return list(zip(keys, drawn, fits))
@@ -741,8 +835,9 @@ class _Search(_Kernel):
     64-bit codes per (unit, group), XORed over the units.  A single move
     changes a key by two codes, so a neighbourhood is keyed without building
     its labelings, in O(1) time and memory per move where the bytes of a
-    label array take O(N); among a billion labelings the chance of any two
-    keys colliding is below 1e-20.
+    label array take O(N), and a Lloyd round's key follows from the last
+    one by the codes of the units that moved (:meth:`key_after`); among a
+    billion labelings the chance of any two keys colliding is below 1e-20.
     """
 
     def __init__(self, data, config):
@@ -759,6 +854,13 @@ class _Search(_Kernel):
         units = np.arange(labels.shape[0])
         hi, lo = np.bitwise_xor.reduce(self.codes[:, units, labels - 1], axis=1).tolist()
         return hi << 64 | lo
+
+    def key_after(self, key, labels, new):
+        """The key of ``new``, from ``key``, that of ``labels``, by the units that moved."""
+        units = np.flatnonzero(labels != new)
+        change = self.codes[:, units, labels[units] - 1] ^ self.codes[:, units, new[units] - 1]
+        hi, lo = np.bitwise_xor.reduce(change, axis=1).tolist()
+        return key ^ (hi << 64 | lo)
 
     def move_keys(self, key, labels, units, targets):
         """Keys of the labelings that move ``units[k]`` to group ``targets[k]``."""

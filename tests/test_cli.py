@@ -244,6 +244,17 @@ class TestEstimateCommand:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"]["code"] == "duplicate_cell"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_a_tolerance_that_is_not_finite_is_an_input_problem(self, tol, tmp_path, capsys):
+        # a NaN tolerance would run every restart to the iteration cap, and
+        # an infinite one would stop each slope fixed point after one step
+        data, _ = clustered_fixture()
+        panel = write_panel(tmp_path / "panel.csv", data)
+        rc = main(["estimate", panel, "--restarts", "1", "--tol", tol])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "value" and "fp_tol" in err["message"]
+
     def test_more_groups_than_units_is_an_input_problem(self, tmp_path, capsys):
         data, _ = clustered_fixture()
         panel = write_panel(tmp_path / "panel.csv", data)

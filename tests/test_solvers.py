@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgfe import solvers
 from wgfe.errors import EmptyGroupError, NonConvergenceError, SingularDesignError
@@ -307,6 +309,188 @@ class TestKernel:
         assert moved[4] == pytest.approx(fresh[4], rel=1e-12)
 
 
+#: Bound on a moved statistic's error: counts are equal; a group mean is
+#: within MOVE_TOL times the panel's root mean square of that variable; a
+#: cross product M_g[a, b] is within MOVE_TOL * sqrt(s_a s_b), with
+#: s_a = sqrt(M_g[a, a] R_g[a, a]) and R_g = M_g + n_g sum_t zbar_gt zbar_gt'
+#: the group's scatter about the period means.  The rebuild itself rounds
+#: each deviation at the scale of R_g, so its own error is of order eps s_a.
+MOVE_TOL = 1e-12
+
+#: (shift, scale) of the data, and how far apart the group effects sit
+MOVE_LAYOUTS = [(0.0, 1.0, 3.0), (0.0, 1.0, 1e4), (1e6, 1e-6, 3.0), (1e6, 1e-6, 1e4)]
+
+
+def move_panel(r, n, t, p, g, layout):
+    """A panel of ``g`` equal, tight groups whose effects sit ``separation`` apart.
+
+    Returns the kernel and the true labels; the layout shifts and rescales
+    the data.  With three or more groups, a middle group sits near the
+    period means, so its own scatter is all that its statistics carry.
+    """
+    shift, scale, separation = layout
+    labels = np.arange(n) % g + 1
+    alpha = separation * np.arange(g)[:, None] + r.standard_normal((g, t))
+    noise = np.linspace(0.1, 0.5, g)[labels - 1, None] * r.standard_normal((n, t))
+    x = r.standard_normal((n, t, p))
+    y = x.sum(axis=2) + alpha[labels - 1] + noise
+    data = PanelDataset(scale * (y + shift), scale * (x + shift))
+    return _Kernel(data, SolverConfig(n_groups=g)), labels
+
+
+def moved_stats(kernel, stats, labels, new):
+    """``kernel.move_units`` with its size rule off, and whether it rebuilt."""
+    rebuilt = []
+    stats_of = kernel.stats
+
+    def counting(lab):
+        rebuilt.append(True)
+        return stats_of(lab)
+
+    kernel.stats = counting
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_MOVE_RATIO", 0)
+            out = kernel.move_units(stats, labels, new)
+    finally:
+        del kernel.stats
+    return out, bool(rebuilt)
+
+
+def assert_stats_close(kernel, got, ref):
+    """``got`` within ``MOVE_TOL`` of the rebuilt statistics ``ref``."""
+    counts, means, cross = got
+    ref_counts, ref_means, ref_cross = ref
+    np.testing.assert_array_equal(counts, ref_counts)
+    a = means.shape[2]
+    rms = np.sqrt(np.mean(kernel.z**2, axis=(0, 1)))
+    assert np.all(np.abs(means - ref_means) <= MOVE_TOL * rms)
+    diag = ref_cross[:, :: a + 1]
+    raw = diag + ref_counts[:, None] * np.sum(ref_means**2, axis=1)
+    spread = np.sqrt(np.sqrt(diag * raw))
+    bound = MOVE_TOL * (spread[:, :, None] * spread[:, None, :]).reshape(-1, a * a)
+    assert np.all(np.abs(cross - ref_cross) <= bound)
+
+
+def random_move(r, labels, g, n_moves):
+    """``labels`` with ``n_moves`` random units sent to random other groups."""
+    new = labels.copy()
+    units = r.choice(labels.shape[0], size=n_moves, replace=False)
+    new[units] = (new[units] - 1 + r.integers(1, g, size=n_moves)) % g + 1
+    return new
+
+
+class TestMoveUnits:
+    """Statistics moved by the units that changed group, against a rebuild."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(2, 4),
+        n=st.integers(8, 60),
+        t=st.integers(1, 5),
+        p=st.integers(0, 2),
+        layout=st.sampled_from(MOVE_LAYOUTS),
+        misplaced=st.integers(0, 3),
+        homing=st.booleans(),
+        moves=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_rebuild(self, seed, g, n, t, p, layout, misplaced, homing, moves):
+        # groups start at the truth with a few units misplaced; the move
+        # sends random units to random other groups, and with ``homing``
+        # every misplaced unit home, so that a unit far from its group is
+        # often among those that leave it
+        r = np.random.default_rng(seed)
+        kernel, truth = move_panel(r, n, t, p, g, layout)
+        labels = random_move(r, truth, g, misplaced)
+        new = random_move(r, labels, g, int(moves**2 * n / 2))
+        if homing:
+            new[labels != truth] = truth[labels != truth]
+        for lab in (labels, new):
+            if np.bincount(lab - 1, minlength=g).min() == 0:
+                return
+        if np.array_equal(labels, new):
+            return
+        got, _ = moved_stats(kernel, kernel.stats(labels), labels, new)
+        assert_stats_close(kernel, got, kernel.stats(new))
+
+    @pytest.mark.parametrize("layout", MOVE_LAYOUTS)
+    def test_a_far_unit_going_home_rebuilds(self, layout):
+        # a unit 1e4 from a tight group takes nearly all its scatter along
+        # when it leaves; moving it would keep ~1e-8 of rounding noise
+        r = np.random.default_rng(5)
+        kernel, truth = move_panel(r, 30, 4, 1, 3, layout)
+        labels = truth.copy()
+        labels[0] = 2  # a unit of group 1, misplaced in the middle group
+        new = truth
+        got, rebuilt = moved_stats(kernel, kernel.stats(labels), labels, new)
+        assert_stats_close(kernel, got, kernel.stats(new))
+        assert rebuilt == (layout[2] > 100.0)
+
+    @pytest.mark.parametrize("layout", MOVE_LAYOUTS)
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_a_group_left_with_one_member(self, g, layout):
+        r = np.random.default_rng(11 + g)
+        kernel, truth = move_panel(r, 24, 3, 2, g, layout)
+        members = np.flatnonzero(truth == 1)
+        new = truth.copy()
+        new[members[1:]] = 2
+        got, rebuilt = moved_stats(kernel, kernel.stats(truth), truth, new)
+        assert not rebuilt
+        assert got[0][0] == 1 and np.all(got[2][0] == 0.0)
+        assert_stats_close(kernel, got, kernel.stats(new))
+
+    @pytest.mark.parametrize("layout", MOVE_LAYOUTS)
+    def test_a_group_that_loses_every_member_rebuilds(self, layout):
+        # every member of group 1 leaves and one unit of group 2 arrives
+        r = np.random.default_rng(3)
+        kernel, truth = move_panel(r, 24, 3, 1, 3, layout)
+        new = truth.copy()
+        new[truth == 1] = 3
+        new[np.flatnonzero(truth == 2)[0]] = 1
+        got, rebuilt = moved_stats(kernel, kernel.stats(truth), truth, new)
+        assert rebuilt
+        ref = kernel.stats(new)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("layout", MOVE_LAYOUTS)
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_a_long_chain_of_small_rounds_does_not_drift(self, p, layout):
+        # 250 rounds of 1 to 4 random moves, each carried forward from the
+        # last; rounds whose move falls back restart the chain from a rebuild
+        r = np.random.default_rng(100 + p)
+        g = 3
+        kernel, labels = move_panel(r, 40, 4, p, g, layout)
+        stats = kernel.stats(labels)
+        rebuilds = 0
+        for _ in range(250):
+            new = random_move(r, labels, g, int(r.integers(1, 5)))
+            if np.bincount(new - 1, minlength=g).min() == 0:
+                continue
+            stats, rebuilt = moved_stats(kernel, stats, labels, new)
+            rebuilds += rebuilt
+            labels = new
+            assert_stats_close(kernel, stats, kernel.stats(labels))
+        assert rebuilds < 125
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(1, 5),
+        n=st.integers(1, 80),
+        share=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_moved_key_equals_the_key_of_the_new_labels(self, seed, g, n, share):
+        r = np.random.default_rng(seed)
+        data = make_dataset(r, n=n, t=2, p=1)
+        search = solvers._Search(data, SolverConfig(n_groups=g))
+        labels = r.integers(1, g + 1, size=n)
+        for _ in range(3):
+            new = random_move(r, labels, g, int(share * n)) if g > 1 else labels.copy()
+            assert search.key_after(search.key(labels), labels, new) == search.key(new)
+            labels = new
+
+
 def same_outcome(got, ref):
     """Whether two fit outcomes are bitwise equal: states array by array, errors by content."""
     if isinstance(ref, Exception):
@@ -395,13 +579,32 @@ def sequential_local_search(labels, state, fit, g, max_sweeps=100):
     return labels, state
 
 
-def sequential_lloyd(data, cfg, theta, alpha, sigma, fit):
-    """One Lloyd descent with one ``fit(labels, seed)`` per round, as a reference."""
+def sequential_lloyd(data, cfg, theta, alpha, sigma, search):
+    """One Lloyd descent with one fit per round, as a reference.
+
+    Each round looks its grouping up in ``search.states`` by its key,
+    computed from scratch; an uncached grouping is fitted from the
+    statistics of the last grouping the descent fitted, moved by
+    ``_Kernel.move_units``, or from ``_Kernel.stats`` for the first one,
+    and cached.
+    """
     labels = solvers._repair_empty(*solvers._assign(data, theta, alpha, sigma, cfg))
-    trace, state, converged, n_iters = [], None, False, 0
+    trace, state, converged, n_iters, fitted = [], None, False, 0, None
     for it in range(cfg.max_lloyd_iters):
         n_iters = it + 1
-        state = fit(labels, state[0] if state is not None else theta)
+        key = search.key(labels)
+        if key not in search.states:
+            if fitted is None:
+                stats = search.stats(labels)
+            else:
+                stats = search.move_units(fitted[1], fitted[0], labels)
+            fitted = labels, stats
+            seed = state[0] if state is not None else theta
+            out = search.fit_stats([stats], [seed])[0]
+            if isinstance(out, Exception):
+                raise out
+            search.states[key] = out
+        state = search.states[key]
         trace.append(state[4])
         labels_next = solvers._repair_empty(*solvers._assign(data, *state[:3], cfg))
         if np.array_equal(labels_next, labels):
@@ -442,7 +645,7 @@ def sequential_vns(data, cfg, rng):
     events = {"improved_at": [], "jump_stalls": 0}
     init = initialize(data, cfg, rng)
     best_state, best_labels, _, total_iters, converged = sequential_lloyd(
-        data, cfg, init.theta, init.alpha, init.sigma, fit
+        data, cfg, init.theta, init.alpha, init.sigma, search
     )
     improvements = [best_state[4]]
     g = cfg.n_groups
@@ -458,7 +661,7 @@ def sequential_vns(data, cfg, rng):
                 continue
             try:
                 state_c, labels_c, _, iters_d, conv_d = sequential_lloyd(
-                    data, cfg, *state_j[:3], fit
+                    data, cfg, *state_j[:3], search
                 )
                 total_iters += iters_d
                 if search.key(labels_c) not in searched:
@@ -792,7 +995,10 @@ class TestVns:
         # (seed, N, G, p, mode, fp_max_iters); the cap of 4 makes some jump
         # fits stall, and improvements land before the largest jump; the
         # reference scans at every descent that lands off an earlier result,
-        # while vns takes some of those searches from memory
+        # while vns takes some of those searches from memory.  Each panel
+        # runs under the size rule of move_units, which at these N always
+        # rebuilds, and with the rule off, so that every descent round after
+        # the first moves its statistics
         panels = [
             (701, 34, 3, 2, "wgfe", 500),
             (705, 50, 3, 0, "wgfe", 500),
@@ -812,8 +1018,18 @@ class TestVns:
             scans[side] += 1
             return local_search(*args)
 
+        moved = []
+        move_units = solvers._Kernel.move_units
+
+        def counting_move(kernel, *args):
+            moved.append(solvers._MOVE_RATIO)
+            return move_units(kernel, *args)
+
         monkeypatch.setattr(solvers, "_local_search", counting_search)
-        for seed, n, g, p, mode, fp_max_iters in panels:
+        monkeypatch.setattr(solvers._Kernel, "move_units", counting_move)
+        rules = (solvers._MOVE_RATIO, 0)
+        for ratio, (seed, n, g, p, mode, fp_max_iters) in itertools.product(rules, panels):
+            monkeypatch.setattr(solvers, "_MOVE_RATIO", ratio)
             r = np.random.default_rng(seed)
             data, _, _ = make_grouped_dataset(
                 r, n=n, t=4, p=p, g=g, sigma=np.linspace(0.3, 1.5, g)
@@ -842,6 +1058,7 @@ class TestVns:
         assert any(n < 6 for n in improved_at)  # the rest of a sweep is discarded
         assert stalls > 0
         assert 0 < scans["got"] < scans["ref"]
+        assert moved.count(0) > 0
 
     def test_search_steps_never_write_their_input_labels(self, rng):
         # each step hands on a read-only array; a write into it would raise
@@ -942,6 +1159,52 @@ class TestMultiStart:
                 assert 0 < n_ok < k
                 mixed += 1
         assert mixed == 2
+
+    def test_restarts_that_move_statistics_match_lone_vns_bitwise(self, monkeypatch):
+        # with the size rule of move_units off, every descent round after
+        # the first moves its statistics; restart k still gets what vns
+        # alone gets on substream k, on one thread or two
+        monkeypatch.setattr(solvers, "_MOVE_RATIO", 0)
+        moved = []
+        move_units = solvers._Kernel.move_units
+
+        def counting_move(kernel, *args):
+            moved.append(True)
+            return move_units(kernel, *args)
+
+        monkeypatch.setattr(solvers._Kernel, "move_units", counting_move)
+        for seed, n, t, p, sigma, g, mode, fp_iters, neigh, _, k in self.RESTART_CASES[2:]:
+            data, _, _ = make_grouped_dataset(
+                np.random.default_rng(seed), n=n, t=t, p=p, g=len(sigma), sigma=sigma
+            )
+            cfg = SolverConfig(
+                mode=mode, n_groups=g, n_restarts=k, seed=seed, fp_max_iters=fp_iters,
+                vns_iter_max=2, vns_neigh_max=neigh,
+            )
+            serial = solvers._restart_outcomes(data, cfg)
+            threaded = solvers._restart_outcomes(data, replace(cfg, n_threads=2))
+            streams = np.random.SeedSequence(seed).spawn(k)
+            for out, other, stream in zip(serial, threaded, streams):
+                try:
+                    ref = vns(data, cfg, np.random.default_rng(stream))
+                except (NonConvergenceError, EmptyGroupError) as exc:
+                    ref = exc
+                for got in (out, other):
+                    if isinstance(ref, Exception):
+                        assert type(got) is type(ref) and str(got) == str(ref)
+                        continue
+                    assert got.assignment.labels.tobytes() == ref.assignment.labels.tobytes()
+                    for a, b in [
+                        (got.params.theta, ref.params.theta),
+                        (got.params.alpha, ref.params.alpha),
+                        (got.params.sigma, ref.params.sigma),
+                        (got.breakdown.per_group_ssr, ref.breakdown.per_group_ssr),
+                    ]:
+                        assert a.tobytes() == b.tobytes()
+                    assert (got.objective, got.trace) == (ref.objective, ref.trace)
+                    assert got.n_lloyd_iters == ref.n_lloyd_iters
+                    assert got.converged == ref.converged
+        assert len(moved) > 100
 
     def test_partition_cache_is_written_once_per_key(self, monkeypatch):
         # a local search may be taken from memory only because every cached
