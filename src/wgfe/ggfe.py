@@ -7,7 +7,9 @@ of those covariances, units are reassigned along the criterion's exact
 assignment derivative, and slopes are refitted by majorize-minimize GLS steps.
 Both take the criterion's derivative in each group covariance from the
 optimal transport map between that covariance and the barycenter, built
-from the eigendecompositions of the barycenter iteration's last pass.
+from the eigendecompositions of the barycenter iteration's last pass.  With
+two groups the iteration starts at the pair's closed-form barycenter, so it
+usually stops at its first pass.
 """
 
 import math
@@ -205,14 +207,18 @@ def barycenter_fixed_point(covariances, weights, *, tol=1e-11, max_iters=500):
     """Bures-Wasserstein barycenter of SPD matrices by fixed-point iteration.
 
     Iterates ``O <- O^{-1/2} (sum_g w_g (O^{1/2} S_g O^{1/2})^{1/2})^2
-    O^{-1/2}`` from the identity and stops when the fixed-point residual
+    O^{-1/2}`` and stops when the fixed-point residual
     ``||O - sum_g w_g (O^{1/2} S_g O^{1/2})^{1/2}||_F / ||O||_F`` drops
-    below ``tol``.  Inputs are checked as :class:`SpdMatrix` and
-    eigenvalue-clamped first; a matrix with nonpositive trace cannot be
-    clamped into SPD and raises ``NonSpdError``.  The clamped inputs are
-    divided by the power of four that brings their largest diagonal entry
-    into [1, 4) and the result is multiplied back, so scaling the inputs by
-    a power of four scales the result exactly.  The iterates are plain
+    below ``tol``.  When exactly two inputs carry positive weight the
+    iteration starts at their closed-form barycenter, a point of the
+    Bures-Wasserstein geodesic between them, so it usually stops at its
+    first pass; otherwise it starts at the identity.  Inputs are checked
+    as :class:`SpdMatrix` and eigenvalue-clamped first; a matrix with
+    nonpositive trace cannot be clamped into SPD and raises
+    ``NonSpdError``.  The clamped inputs are divided by the power of four
+    that brings their largest diagonal entry into [1, 4) and the result is
+    multiplied back, so scaling the inputs by a power of four scales the
+    result exactly.  The iterates are plain
     arrays; the result is an :class:`SpdMatrix`, and a stall raises
     ``NonConvergenceError`` with the last iterate in the input's units.
     """
@@ -225,6 +231,9 @@ def _barycenter(covariances, weights, tol=1e-11, max_iters=500):
 
     R is the iterate's floored root and ``eigs[g]`` the :func:`_eigh_floored`
     triple of ``R S_g R`` for the scaled input ``S_g`` (None at zero weight).
+    Two live inputs start at :func:`_geodesic_point`, any other count at the
+    identity; the loop and its residual test are the same either way, so a
+    start spoiled by rounding or a floored input only takes more passes.
     """
     covs = [c if isinstance(c, SpdMatrix) else SpdMatrix(c) for c in covariances]
     if not covs:
@@ -247,7 +256,11 @@ def _barycenter(covariances, weights, tol=1e-11, max_iters=500):
     # run the same iteration, and root @ sig @ root stays far from overflow
     scale = _pow4(max(np.diagonal(sig).max() for sig in sigs))
     sigs = [sig / scale for sig in sigs]
-    omega = np.eye(t)
+    live = np.flatnonzero(weights > 0.0)
+    if live.size == 2:
+        omega = _geodesic_point(covs, sigs, weights, live, scale)
+    else:
+        omega = np.eye(t)
     for _ in range(max_iters):
         evecs, evals, floor = _eigh_floored(omega)
         lam = np.sqrt(np.maximum(evals, floor))
@@ -268,6 +281,25 @@ def _barycenter(covariances, weights, tol=1e-11, max_iters=500):
         last_iterate=omega * scale,
         residual=residual,
     )
+
+
+def _geodesic_point(covs, sigs, weights, live, scale):
+    """The closed-form barycenter of the two scaled inputs ``sigs[live]``.
+
+    With A the better-conditioned input, B the other and ``R = A^{1/2}``, it
+    is the McCann interpolant ``R^{-1} (w_A A + w_B (R B R)^{1/2})^2 R^{-1}``
+    on the Bures-Wasserstein geodesic from A to B, the fixed point of the
+    barycenter iteration for any positive weights (Bhatia, Jain & Lim 2019).
+    R and its inverse come from A's cached spectrum, so this costs one
+    eigendecomposition, of ``R B R``.
+    """
+    a, b = sorted(live, key=lambda g: covs[g]._floored[-1] / covs[g]._floored[0])
+    lam = np.sqrt(covs[a]._floored / scale)
+    root = _eig_rebuild(covs[a]._evecs, lam)
+    u, d, f = _eigh_floored(_sym(root @ sigs[b] @ root))
+    mid = weights[a] * sigs[a] + weights[b] * _eig_rebuild(u, np.sqrt(np.maximum(d, f)))
+    inv_root = _eig_rebuild(covs[a]._evecs, 1.0 / lam)
+    return _sym(inv_root @ mid @ mid @ inv_root)
 
 
 def _criterion_at(data, theta, alpha, assignment):
@@ -415,6 +447,11 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     ``NonSpdError``.  A zero criterion, or covariances too degenerate for a
     stable derivative (near-zero residuals, groups smaller than T), ends
     the search at the incumbent.
+    ``converged`` is true only when the assignment reproduces itself or the
+    criterion is zero: exactly, or, where the derivative is ill-conditioned,
+    to within ``T * sigma_floor(data)**2`` (every residual at the scale
+    floor).  A rollback, any other ill-conditioned derivative or the round
+    cap reports False.
     ``trace`` records the refit value per round and is non-increasing.
     """
     if config.mode != "ggfe":
@@ -428,9 +465,10 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     )
     theta = init.theta
     kernel = _Kernel(data, config)
+    floor = sigma_floor(data)
     best = None
     trace = []
-    converged = True
+    converged = False
     for n_iters in range(1, config.max_lloyd_iters + 1):
         try:
             theta, alpha, state = _inner_update(data, gamma, kernel, theta_seed=theta)
@@ -444,20 +482,22 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         trace.append(value)
         best = (theta, alpha, gamma, value)
         if value <= 0.0:
+            converged = True
             break  # every group is fitted exactly: zero covariances have no derivative
         try:
             grad = _membership_derivatives(data, theta, alpha, state[1])
         except IllConditionedError:
+            # residuals at rounding level fit every group to the scale floor
+            converged = value <= data.n_periods * floor**2
             break
         gamma_next = GroupAssignment(
             _repair_empty(np.argmin(grad, axis=1) + 1, grad, min_size=2), config.n_groups
         )
         if gamma_next.same_as(gamma):
+            converged = True
             break
         gamma = gamma_next
-    else:
-        converged = False
     theta, alpha, gamma, value = best
     q = group_ssr(data, theta, alpha, gamma)
-    state = (theta, alpha, _clamped_sigma(q, sigma_floor(data)), q, value)
+    state = (theta, alpha, _clamped_sigma(q, floor), q, value)
     return _build_result(config, state, gamma.labels, n_iters, converged, tuple(trace))

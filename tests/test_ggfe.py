@@ -27,6 +27,7 @@ from wgfe.model import (
     group_ssr,
     wgfe_objective,
 )
+from wgfe.simlab import AR1Covariates, SimulationSpec, generate
 from wgfe.solvers import SolverConfig, _Kernel, initialize, lloyd
 
 from conftest import make_grouped_dataset
@@ -249,25 +250,32 @@ class TestBarycenterFixedPoint:
             barycenter_fixed_point([good, good], [0.5])
 
     def test_cap_raises_nonconvergence(self, rng):
-        mats = [random_spd(rng, 3), random_spd(rng, 3, spread=5.0)]
+        # three inputs: a pair starts at its closed form and cannot stall
+        mats = [random_spd(rng, 3), random_spd(rng, 3, spread=5.0), random_spd(rng, 3)]
         with pytest.raises(NonConvergenceError) as info:
-            barycenter_fixed_point(mats, [0.5, 0.5], max_iters=1)
+            barycenter_fixed_point(mats, [0.25, 0.25, 0.5], max_iters=1)
         assert info.value.residual > 0
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300, 1e305, 1e307])
     def test_scaled_inputs_scale_the_result(self, rng, scale):
         a = random_spd(rng, 4)
-        mats = [4.0 * a / np.trace(a), np.diag([1.0, 2.0, 3.0, 4.0])]
+        # three inputs, so the stall below runs from the identity
+        mats = [
+            4.0 * a / np.trace(a),
+            np.diag([1.0, 2.0, 3.0, 4.0]),
+            np.diag([4.0, 1.0, 3.0, 2.0]),
+        ]
+        weights = [0.25, 0.25, 0.5]
         scaled = [m * scale for m in mats]
-        base = barycenter_fixed_point(mats, [0.5, 0.5]).values
-        out = barycenter_fixed_point(scaled, [0.5, 0.5]).values
+        base = barycenter_fixed_point(mats, weights).values
+        out = barycenter_fixed_point(scaled, weights).values
         np.testing.assert_allclose(
             out / scale, base, rtol=0, atol=1e-12 * np.abs(base).max()
         )
         stalls = []
         for inputs in (mats, scaled):
             with pytest.raises(NonConvergenceError) as info:
-                barycenter_fixed_point(inputs, [0.5, 0.5], max_iters=2)
+                barycenter_fixed_point(inputs, weights, max_iters=2)
             stalls.append(info.value.last_iterate)
         np.testing.assert_allclose(
             stalls[1] / scale, stalls[0], rtol=0, atol=1e-12 * np.abs(stalls[0]).max()
@@ -284,6 +292,43 @@ class TestBarycenterFixedPoint:
         base = barycenter_fixed_point(mats, [0.3, 0.7]).values
         out = barycenter_fixed_point([m * 4.0**100 for m in mats], [0.3, 0.7]).values
         assert np.array_equal(out, base * 4.0**100)
+
+
+class TestPairStart:
+    """Two live inputs start at their closed-form barycenter."""
+
+    @pytest.mark.parametrize(
+        "weights", [[0.4, 0.6], [0.4, 0.6, 0.0], [0.4, 0.6 + 5e-9]],
+        ids=["pair", "third-at-zero-weight", "sum-above-one"],
+    )
+    def test_ends_at_its_first_pass(self, rng, weights):
+        mats = [random_spd(rng, 4), random_spd(rng, 4, spread=2.0), random_spd(rng, 4)]
+        mats = mats[: len(weights)]
+        out = barycenter_fixed_point(mats, weights, max_iters=1).values
+        live = [(w, m) for w, m in zip(weights, mats) if w > 0]
+        ref = reference_barycenter([m for _, m in live], [w for w, _ in live])
+        np.testing.assert_allclose(out, ref, rtol=1e-9)
+        root = np.real(dense_sqrtm(out))
+        mean = sum(w * np.real(dense_sqrtm(root @ s @ root)) for w, s in live)
+        assert np.linalg.norm(out - mean) / np.linalg.norm(out) < 1e-10
+
+    @pytest.mark.parametrize("t", [3, 7])
+    def test_a_floored_input_reaches_the_identity_starts_answer(
+        self, rng, monkeypatch, t
+    ):
+        # clamped eigenvalues of R B R spoil the closed form; the loop still
+        # ends where the identity start ends
+        v = rng.standard_normal((t, 2))
+        mats = [random_spd(rng, t), v @ v.T]
+        assert not np.all(np.linalg.eigvalsh(mats[1]) > 1e-12)
+        for weights in ([0.4, 0.6], [0.7, 0.3]):
+            out = barycenter_fixed_point(mats, weights).values
+            with monkeypatch.context() as m:
+                m.setattr(ggfe, "_geodesic_point", lambda covs, *a: np.eye(t))
+                ident = barycenter_fixed_point(mats, weights).values
+            np.testing.assert_allclose(
+                out, ident, rtol=0, atol=1e-9 * np.abs(ident).max()
+            )
 
 
 class TestCovarianceDerivatives:
@@ -615,6 +660,33 @@ class TestGgfeDescent:
         assert np.array_equal(res.assignment.labels, other.assignment.labels)
         assert np.abs(res.params.theta - other.params.theta).max() <= 1e-7
         assert abs(res.objective - other.objective) <= 1e-12 * res.objective
+
+    def test_a_stop_at_an_ill_conditioned_derivative_is_not_convergence(self):
+        # the paper's two-group dynamic design at N=60: the start leaves
+        # group 2 with 6 < T members, so the first round's derivative raises
+        t = 7
+        base = np.linspace(0.0, 0.3, t)
+        spec = SimulationSpec(
+            n_units=60,
+            n_periods=t,
+            n_groups=2,
+            theta_true=[0.554, 0.062],
+            alpha_true=np.vstack([base, base + 0.25]),
+            sigma_true=[0.219, 0.086],
+            group_probs=[0.64, 0.36],
+            covariate_law=AR1Covariates(rho=0.9, innovation_sd=0.5),
+            dynamic=True,
+        )
+        data = generate(spec, np.random.default_rng(4).spawn(1)[0])[0]
+        res = ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=4))
+        assert res.n_lloyd_iters == 1
+        assert res.assignment.counts().tolist() == [54, 6]
+        theta, alpha = res.params.theta, res.params.alpha
+        state = ggfe._criterion_at(data, theta, alpha, res.assignment)
+        assert state[0] == res.objective > 0.0
+        with pytest.raises(IllConditionedError):
+            ggfe._covariance_derivatives(state[1])
+        assert not res.converged
 
     def test_identical_pair_at_the_start_raises(self):
         # the start isolates two units with one residual path: a zero
