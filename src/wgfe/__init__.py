@@ -69,7 +69,6 @@ from .simlab import (
     SimulationSpec,
     StudyReport,
     generate,
-    hausdorff_alpha,
     misclassification_rate,
     run_study,
     simple_case_misclass,
@@ -119,7 +118,6 @@ __all__ = [
     "SimpleCaseResult",
     "generate",
     "misclassification_rate",
-    "hausdorff_alpha",
     "simple_case_misclass",
     "run_study",
     "WgfeError",

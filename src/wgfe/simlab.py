@@ -229,21 +229,6 @@ def misclassification_rate(estimated: GroupAssignment, truth: GroupAssignment):
     return rate, tuple(p + 1 for p in perm)
 
 
-def hausdorff_alpha(alpha_hat, alpha_true) -> float:
-    """Two-sided Hausdorff distance between effect-path collections.
-
-    The pairwise ground distance is the time-averaged squared gap between
-    rows; each side takes the worst best-match and the larger side wins.
-    """
-    a = np.atleast_2d(np.asarray(alpha_hat, dtype=float))
-    b = np.atleast_2d(np.asarray(alpha_true, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError("effect arrays must share a shape")
-    diff = a[:, None, :] - b[None, :, :]
-    d = np.mean(diff**2, axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 class SimpleCaseResult(NamedTuple):
     """Misassignment rates for one unit choosing between two known groups."""
 

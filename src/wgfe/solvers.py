@@ -5,6 +5,8 @@ and the closed-form (GFE) or fixed-point (weighted) parameter update.  A
 variable neighborhood search wraps Lloyd runs with random relocation jumps
 and a systematic single-move local search to escape poor partitions, and
 ``multi_start`` runs many independently seeded searches and keeps the best.
+Each search is a generator of fit requests, and one driver (``_drive``)
+fits the requests of every running search in one batched fixed point.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ class SolverConfig:
     assignment_rule : {"alg1"}
         The scale-aware assignment rule of the paper's Algorithm 1.
     n_threads : int
-        Worker threads for the restarts' jump phases in :func:`multi_start`
-        (the opening descents run in lockstep on the calling thread);
+        Worker threads for :func:`multi_start`: above one, each restart is
+        driven alone on a pool of this many threads, instead of all
+        restarts' fits being batched together on the calling thread;
         results are identical for any value.
     """
 
@@ -246,7 +249,7 @@ class _Kernel:
         M_h + n_h / (n_h + 1) sum_t d_ht d_ht',
         M_s - n_s / (n_s - 1) sum_t d_st d_st',
 
-    so :meth:`fit_moves` fits a whole neighbourhood in one batch.  Moving a
+    so :meth:`move_stats` stacks a whole neighbourhood for one batch.  Moving a
     set of units is the pairwise form of the same update (Chan, Golub and
     LeVeque), in deviations from a group's mean before the move: with
     e_i = z_i - zbar for the units that leave the group, f_j = z_j - zbar
@@ -299,7 +302,7 @@ class _Kernel:
         moved that a rebuild costs less (``_MOVE_RATIO``), when a group
         loses all its members, or when what a group's update subtracts
         exceeds ``_DOWNDATE_LIMIT`` times what is left (per variable), the
-        test of :meth:`fit_moves`.
+        test of :meth:`move_stats`.
         """
         units = np.flatnonzero(labels != new)
         if _MOVE_RATIO * (units.size + _MOVE_OVERHEAD) > labels.shape[0]:
@@ -342,23 +345,12 @@ class _Kernel:
             raise out
         return out
 
-    def fit_stats(self, stats, seeds):
-        """The update at each grouping of ``stats``, in one batch.
-
-        ``stats`` holds one ``(counts, means, cross)`` per grouping, as
-        :meth:`stats` returns them, and fit k is seeded at ``seeds[k]``.
-        Returns one outcome per grouping: its state, or the exception its
-        fit raised.
-        """
-        counts, means, cross = (np.array(s) for s in zip(*stats))
-        return self._solve(counts, means, cross, np.array(seeds, dtype=float))
-
-    def fit_moves(self, labels, seed, units, targets):
-        """The update at each grouping one move away from ``labels``.
+    def move_stats(self, labels, seed, units, targets):
+        """The fit request of the groupings one move away from ``labels``.
 
         Move k sends unit ``units[k]`` to group ``targets[k]``; its source
         group must keep a member.  Every fit is seeded at ``seed``.  Returns
-        one outcome per move: its state, or the exception its fit raised.
+        the stacked statistics and seeds, as :func:`_request` builds them.
 
         Taking a unit out of a group cancels digits in proportion to its
         share of the group's scatter; a move whose share exceeds
@@ -393,7 +385,7 @@ class _Kernel:
             moved[units[r]] = targets[r]
             counts[r], means[r], cross[r] = self.stats(moved)
         seeds = np.repeat(np.asarray(seed, dtype=float)[None], k, axis=0)
-        return self._solve(counts, means, cross, seeds)
+        return counts, means, cross, seeds
 
     def _solve(self, counts, means, cross, seeds):
         """The update at K groupings from their stacked statistics.
@@ -609,9 +601,9 @@ def lloyd(
     its per-group statistics; after the first grouping these are moved
     from the previous grouping's by the units that changed group, unless
     so many moved that a rebuild from all units is cheaper or the move
-    would lose precision (see ``_Kernel.move_units``).  This is the
-    one-row case of the lockstep descent :func:`multi_start` runs over its
-    restarts.
+    would lose precision (see ``_Kernel.move_units``).  This is the descent
+    of :func:`vns` (:func:`_descent`) without its partition cache, driven
+    alone.
 
     The returned state is self-consistent: parameters are the update at the
     returned assignment, and the assignment reproduces itself under the rule
@@ -631,43 +623,94 @@ def lloyd(
     """
     if config.mode not in ("wgfe", "gfe"):
         raise ValueError(f"lloyd handles modes 'wgfe'/'gfe', got {config.mode!r}")
+    kernel = _Kernel(data, config)
     start = (init.theta, init.alpha, init.sigma)
-    state, labels, trace, n_iters, converged = _descend_one(
-        data, _Kernel(data, config), start, None
+    state, labels, trace, n_iters, converged = _run(
+        kernel, _descent(data, kernel, start, None)
     )
     return _build_result(config, state, labels, n_iters, converged, trace)
 
 
-def _fit_rows(kernel, stats, seeds):
-    """``kernel.fit_stats``, with a linear-algebra failure pinned to its own rows.
+def _request(stats, seeds):
+    """A fit request: groupings' statistics (as ``_Kernel.stats`` gives them) and seeds, stacked."""
+    counts, means, cross = (np.array(s) for s in zip(*stats))
+    return counts, means, cross, np.array(seeds, dtype=float)
 
-    A batch that raises ``LinAlgError`` is refitted one row at a time, from
-    the same statistics, so the error becomes the outcome of each row that
-    raises it alone.
+
+def _drive(kernel, runs):
+    """Run the search generators ``runs`` to their ends, fitting their requests together.
+
+    A search generator yields fit requests: the stacked ``(counts, means,
+    cross, seeds)`` of the groupings it needs fitted (see :func:`_request`
+    and :meth:`_Kernel.move_stats`).  It is sent back one outcome per
+    grouping: its state, or the exception its fit raised.  Each step fits
+    the pending requests of every live generator in one ``kernel._solve``
+    call and sends each generator its own rows.  A batch that raises
+    ``LinAlgError`` is refitted one row at a time, so the error becomes the
+    outcome of each row that raises it alone.  The rows of a batch do not
+    depend on each other, so each generator sees exactly what it would see
+    driven alone.
+
+    Returns, per generator, its return value or the package or
+    linear-algebra error that ended it; any other exception propagates.
     """
-    try:
-        return kernel.fit_stats(stats, seeds)
-    except np.linalg.LinAlgError as exc:
-        if len(stats) == 1:
-            return [exc]
-        return [_fit_rows(kernel, [one], [seed])[0] for one, seed in zip(stats, seeds)]
+    outcomes = [None] * len(runs)
+    pending = {}
+
+    def advance(k, fits):
+        try:
+            pending[k] = runs[k].send(fits)
+        except StopIteration as stop:
+            outcomes[k] = stop.value
+        except (WgfeError, np.linalg.LinAlgError) as exc:
+            outcomes[k] = exc
+
+    for k in range(len(runs)):
+        advance(k, None)
+    while pending:
+        live = list(pending)
+        requests = [pending.pop(k) for k in live]
+        if len(requests) == 1:
+            batch = requests[0]
+        else:
+            batch = [np.concatenate(parts) for parts in zip(*requests)]
+        try:
+            fits = kernel._solve(*batch)
+        except np.linalg.LinAlgError:
+            fits = []
+            for r in range(len(batch[0])):
+                try:
+                    fits += kernel._solve(*(part[r : r + 1] for part in batch))
+                except np.linalg.LinAlgError as exc:
+                    fits.append(exc)
+        start = 0
+        for k, request in zip(live, requests):
+            stop = start + len(request[0])
+            advance(k, fits[start:stop])
+            start = stop
+    return outcomes
 
 
-def _descend(data, kernel, starts, caches):
-    """Lloyd descents from K starts in lockstep, as in :func:`lloyd`.
+def _run(kernel, run):
+    """Drive the search generator ``run`` alone: its return value, or its error raised."""
+    out = _drive(kernel, [run])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    ``starts`` holds one ``(theta, alpha, sigma)`` per row, and ``caches``
-    one partition cache per row (a ``_Search.states`` dict, or None to fit
-    every grouping afresh).  Each round fits the groupings of all rows still
-    descending in one batched fixed point, each seeded at its own row's
-    slopes, with a row's cached groupings looked up instead; then each row
-    assigns and repairs on its own, and drops out once it converges or
-    fails.  Returns one outcome per row: ``(state, labels, trace, n_iters,
-    converged)``, or the package or linear-algebra error that ended it.
-    Row by row, outcomes and caches are those of descending alone.
 
-    A row keeps the statistics of the last grouping it fitted, and the key
-    of its current grouping.  A row's first grouping is fitted from
+def _descent(data, kernel, start, cache):
+    """One Lloyd descent from ``start``, as in :func:`lloyd`, as a search generator.
+
+    ``start`` is ``(theta, alpha, sigma)``, and ``cache`` a partition cache
+    (a ``_Search.states`` dict, or None to fit every grouping afresh).  Each
+    round looks its grouping up in ``cache``, or requests its fit (one row,
+    seeded at the last fit's slopes; see :func:`_drive`) and caches it; then
+    assigns and repairs.  Returns ``(state, labels, trace, n_iters,
+    converged)``; a failed fit, assignment or repair raises.
+
+    The descent keeps the statistics of the last grouping it fitted, and
+    the key of its current grouping.  Its first grouping is fitted from
     ``kernel.stats``; each later one from the kept statistics, moved by the
     units that changed group since (``kernel.move_units``), and its key
     from the previous key, changed by the codes of the units that moved
@@ -675,76 +718,34 @@ def _descend(data, kernel, starts, caches):
     the move falls back to ``kernel.stats``.
     """
     config = kernel.config
-    k = len(starts)
-    outcomes, labels, seeds, keys = [None] * k, [None] * k, [None] * k, [None] * k
-    # per row, the (labels, stats) of the last grouping it fitted
-    fitted = [None] * k
-    traces = [[] for _ in range(k)]
-    active = []
-    for r, (theta, alpha, sigma) in enumerate(starts):
-        try:
-            labels[r] = _repair_empty(*_assign(data, theta, alpha, sigma, config))
-        except EmptyGroupError as exc:
-            outcomes[r] = exc
-            continue
-        seeds[r] = theta
-        if caches[r] is not None:
-            keys[r] = kernel.key(labels[r])
-        active.append(r)
+    theta, alpha, sigma = start
+    labels = _repair_empty(*_assign(data, theta, alpha, sigma, config))
+    seed = theta
+    key = None if cache is None else kernel.key(labels)
+    # the (labels, stats) of the last grouping fitted
+    fitted = None
+    trace = []
     for it in range(config.max_lloyd_iters):
-        fits = {
-            r: caches[r][keys[r]]
-            for r in active
-            if caches[r] is not None and keys[r] in caches[r]
-        }
-        misses = [r for r in active if r not in fits]
-        if misses:
-            stats = [
-                kernel.stats(labels[r])
-                if fitted[r] is None
-                else kernel.move_units(fitted[r][1], fitted[r][0], labels[r])
-                for r in misses
-            ]
-            outs = _fit_rows(kernel, stats, [seeds[r] for r in misses])
-            for r, one, out in zip(misses, stats, outs):
-                fits[r] = out
-                fitted[r] = labels[r], one
-                if caches[r] is not None and not isinstance(out, Exception):
-                    caches[r][keys[r]] = out
-        still = []
-        for r in active:
-            state = fits[r]
-            try:
-                if isinstance(state, Exception):
-                    raise state
-                traces[r].append(state[4])
-                labels_next = _repair_empty(*_assign(data, *state[:3], config))
-            except (WgfeError, np.linalg.LinAlgError) as exc:
-                outcomes[r] = exc
-                fitted[r] = None
-                continue
-            converged = np.array_equal(labels_next, labels[r])
-            if converged or it == config.max_lloyd_iters - 1:
-                trace = _last_descent(traces[r])
-                outcomes[r] = (state, labels[r], trace, it + 1, converged)
-                fitted[r] = None
+        state = None if cache is None else cache.get(key)
+        if state is None:
+            if fitted is None:
+                stats = kernel.stats(labels)
             else:
-                if caches[r] is not None:
-                    keys[r] = kernel.key_after(keys[r], labels[r], labels_next)
-                labels[r], seeds[r] = labels_next, state[0]
-                still.append(r)
-        active = still
-        if not active:
-            break
-    return outcomes
-
-
-def _descend_one(data, kernel, start, cache):
-    """One :func:`_descend` row; its error, if any, is raised."""
-    out = _descend(data, kernel, [start], [cache])[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+                stats = kernel.move_units(fitted[1], fitted[0], labels)
+            fitted = labels, stats
+            (state,) = yield _request([stats], [seed])
+            if isinstance(state, Exception):
+                raise state
+            if cache is not None:
+                cache[key] = state
+        trace.append(state[4])
+        labels_next = _repair_empty(*_assign(data, *state[:3], config))
+        converged = np.array_equal(labels_next, labels)
+        if converged or it == config.max_lloyd_iters - 1:
+            return state, labels, _last_descent(trace), it + 1, converged
+        if cache is not None:
+            key = kernel.key_after(key, labels, labels_next)
+        labels, seed = labels_next, state[0]
 
 
 def _last_descent(trace):
@@ -796,40 +797,18 @@ def _jump(labels, g, n_moves, rng):
     return _frozen(labels)
 
 
-def _draw_sweep(search, labels, seed, rng):
-    """The jumps of sizes 1 to ``vns_neigh_max`` from ``labels``, drawn ahead.
-
-    Returns, per jump, the key of its labeling, the generator state right
-    after its draw, and the outcome of its fit seeded at ``seed`` -- None for
-    a labeling already in ``search``'s cache.  The uncached labelings are
-    fitted in one batch.
-    """
-    jumps, keys, drawn = [], [], []
-    for n in range(1, search.config.vns_neigh_max + 1):
-        jumps.append(_jump(labels, search.n_groups, n, rng))
-        keys.append(search.key(jumps[-1]))
-        drawn.append(rng.bit_generator.state)
-    fresh = [k for k, key in enumerate(keys) if key not in search.states]
-    fits = [None] * len(jumps)
-    if fresh:
-        outs = search.fit_stats([search.stats(jumps[k]) for k in fresh], [seed] * len(fresh))
-        for k, out in zip(fresh, outs):
-            fits[k] = out
-    return list(zip(keys, drawn, fits))
-
-
 class _Search(_Kernel):
     """The kernel of one :func:`vns` run, with its partition cache.
 
     Partitions recur constantly across jump cycles.  ``states`` maps the key
     of a labeling to the first state fitted for it and used, and is written
-    once per key: by :func:`_descend` (each grouping of a Lloyd descent), by
-    :func:`_local_search` (every move a batch fits), or by
-    :func:`_jump_phase` for a jump of :func:`_draw_sweep`'s batch once the
-    search reaches it; jump fits that the search never reaches are not
-    kept.  Each writer first looks the key up and uses a stored state
-    verbatim, so a key's state never changes once stored; ``_polish``
-    relies on that.  Failed fits are never stored.
+    once per key: by :func:`_descent` (each grouping of a Lloyd descent that
+    it fits), by :func:`_local_search` (every move that its requests fit),
+    or by :func:`_vns_run` for a jump of a sweep's request once the search
+    reaches it; jump fits that the search never reaches are not kept.  Each
+    writer first looks the key up and uses a stored state verbatim, so a
+    key's state never changes once stored; ``_polish`` relies on that.
+    Failed fits are never stored.
 
     Labelings are keyed by a 128-bit Zobrist hash: two independent random
     64-bit codes per (unit, group), XORed over the units.  A single move
@@ -838,9 +817,15 @@ class _Search(_Kernel):
     label array take O(N), and a Lloyd round's key follows from the last
     one by the codes of the units that moved (:meth:`key_after`); among a
     billion labelings the chance of any two keys colliding is below 1e-20.
+
+    Raises ``ValueError`` for a mode other than "wgfe" or "gfe".
     """
 
     def __init__(self, data, config):
+        if config.mode not in ("wgfe", "gfe"):
+            raise ValueError(
+                f"vns and multi_start handle modes 'wgfe'/'gfe', got {config.mode!r}"
+            )
         super().__init__(data, config)
         top = np.iinfo(np.uint64).max
         # a fixed stream, apart from the search's own random numbers
@@ -876,19 +861,20 @@ class _Search(_Kernel):
 
 
 def _local_search(labels, state, search):
-    """First-improvement single-move search on the mode's objective.
+    """First-improvement single-move search on the mode's objective, as a search generator.
 
     Scans units and target groups in index order and accepts the first move
     that lowers the objective; every accepted move re-fits parameters
     exactly, and the sweep resumes at the next unit.  Repeats sweeps until
     none improves, for at most ``_MAX_SWEEPS``.
 
-    The moves left to scan are fitted ahead, up to ``_MOVE_BATCH`` at a
-    time, in one batched fixed point seeded at the current slopes; moves to
-    labelings that ``search`` has already fitted are looked up instead.  An
-    accepted move keeps the full fixed-point fit its batch computed (see
-    :meth:`_Kernel.fit_moves`).  A move whose fit does not converge is
-    skipped; a singular design raises when the scan reaches its move.
+    The moves left to scan are requested ahead, up to ``_MOVE_BATCH`` at a
+    time, in one request seeded at the current slopes (see
+    :meth:`_Kernel.move_stats` and :func:`_drive`); moves to labelings that
+    ``search`` has already fitted are looked up instead.  An accepted move
+    keeps the full fixed-point fit its request returned.  A move whose fit
+    does not converge is skipped; any other failed fit, a singular design
+    or a linear-algebra error, raises when the scan reaches its move.
 
     Returns ``(labels, state, clean)``, where ``clean`` says that the scan
     skipped no move.
@@ -918,7 +904,7 @@ def _local_search(labels, state, search):
             outcomes = [search.states.get(move_key) for move_key in keys]
             misses = np.array([k for k, out in enumerate(outcomes) if out is None], dtype=int)
             if misses.size:
-                fits = search.fit_moves(labels, state[0], units[misses], targets[misses])
+                fits = yield search.move_stats(labels, state[0], units[misses], targets[misses])
                 for k, out in zip(misses, fits):
                     outcomes[k] = out
                     if not isinstance(out, Exception):
@@ -942,7 +928,7 @@ def _local_search(labels, state, search):
 
 
 def _polish(labels, state, search, polished):
-    """:func:`_local_search` from a descent's end, remembered in ``polished``.
+    """:func:`_local_search` from a descent's end, remembered in ``polished``; a search generator.
 
     ``polished`` maps the key of a grouping to the ``(labels, state)`` that
     a local search returned from it: every search's result, and the start
@@ -960,7 +946,7 @@ def _polish(labels, state, search, polished):
     start = search.key(labels)
     if start in polished:
         return polished[start]
-    labels, state, clean = _local_search(labels, state, search)
+    labels, state, clean = yield from _local_search(labels, state, search)
     if clean:
         polished.setdefault(start, (labels, state))
     polished[search.key(labels)] = labels, state
@@ -981,20 +967,23 @@ def vns(
     ``vns_neigh_max``.  A jump whose fit, descent or local search does not
     converge counts as no improvement.  With ``vns_neigh_max=0``, or a
     single group (where no jump can move a unit), this is exactly one Lloyd
-    run.  Each Lloyd descent is the one-row case of :func:`multi_start`'s
-    lockstep descent; :func:`multi_start` runs restart k as this function
-    would on substream k, with its opening descent in lockstep with the
-    other restarts'.
+    run.  Only modes "wgfe" and "gfe" are searched; any other raises
+    ``ValueError``.
+
+    The whole run is one search generator (:func:`_vns_run`), driven alone
+    (:func:`_drive`); :func:`multi_start` drives restart k's generator, on
+    substream k, together with the other restarts', and gets exactly this
+    function's answer for it.
 
     The jumps of a sweep (n = 1 up to ``vns_neigh_max``, all from the same
     incumbent) are drawn ahead when it starts, and the ones not yet cached
-    are fitted in one batched fixed point seeded at the incumbent's slopes.
-    The search then takes them in order, as if each were drawn and fitted
-    when reached: a cached state still wins over the batch's, a jump's
-    outcome enters the cache only once it is reached, and a fit that failed
-    raises (or counts as no improvement) at its own jump.  At each jump the
-    random generator is set to its state just after that jump's draw, so
-    an improvement discards the rest of the batch and the next sweep draws
+    are fitted in one request seeded at the incumbent's slopes.  The search
+    then takes them in order, as if each were drawn and fitted when
+    reached: a cached state still wins over the request's, a jump's outcome
+    enters the cache only once it is reached, and a fit that failed raises
+    (or counts as no improvement) at its own jump.  At each jump the random
+    generator is set to its state just after that jump's draw, so an
+    improvement discards the rest of the sweep and the next sweep draws
     from where a one-jump-at-a-time search would.  Every answer, and the
     generator's state afterwards, is that of drawing and fitting one jump
     at a time.
@@ -1009,18 +998,20 @@ def vns(
     search = _Search(data, config)
     init = initialize(data, config, rng)
     start = (init.theta, init.alpha, init.sigma)
-    opening = _descend_one(data, search, start, search.states)
-    return _jump_phase(data, rng, search, opening)
+    return _run(search, _vns_run(data, search, rng, start))
 
 
-def _jump_phase(data, rng, search, opening):
-    """The jumps, descents and local searches of one :func:`vns` run.
+def _vns_run(data, search, rng, start):
+    """One :func:`vns` run from ``start``, ``(theta, alpha, sigma)``, as a search generator.
 
-    ``opening`` is the outcome of the run's opening descent, with its fits
-    in ``search``'s cache; returns the run's result.
+    ``search`` holds the run's partition cache and ``rng`` its random
+    stream.  Returns the run's result; the package or linear-algebra error
+    that ends the run raises.
     """
     config = search.config
-    best_state, best_labels, _, total_iters, converged = opening
+    best_state, best_labels, _, total_iters, converged = yield from _descent(
+        data, search, start, search.states
+    )
     polished = {}
     best_obj = best_state[4]
     improvements = [best_obj]
@@ -1029,20 +1020,31 @@ def _jump_phase(data, rng, search, opening):
         n = 1
         while n <= config.vns_neigh_max:
             if n == 1:
-                sweep = _draw_sweep(search, best_labels, best_state[0], rng)
-            key_j, drawn, fitted = sweep[n - 1]
-            rng.bit_generator.state = drawn
+                # the sweep: keys and generator states of all its jumps, and
+                # the fits of those not yet cached, from one request
+                keys, drawn, fresh = [], [], {}
+                for size in range(1, config.vns_neigh_max + 1):
+                    labels_j = _jump(best_labels, g, size, rng)
+                    keys.append(search.key(labels_j))
+                    drawn.append(rng.bit_generator.state)
+                    if keys[-1] not in search.states:
+                        fresh[size] = search.stats(labels_j)
+                fits = {}
+                if fresh:
+                    outs = yield _request(list(fresh.values()), [best_state[0]] * len(fresh))
+                    fits = dict(zip(fresh, outs))
+            rng.bit_generator.state = drawn[n - 1]
             try:
-                state_j = search.states.get(key_j)
+                state_j = search.states.get(keys[n - 1])
                 if state_j is None:
-                    if isinstance(fitted, Exception):
-                        raise fitted
-                    state_j = search.states[key_j] = fitted
-                state_c, labels_c, _, iters_d, conv_d = _descend_one(
+                    if isinstance(fits[n], Exception):
+                        raise fits[n]
+                    state_j = search.states[keys[n - 1]] = fits[n]
+                state_c, labels_c, _, iters_d, conv_d = yield from _descent(
                     data, search, state_j[:3], search.states
                 )
                 total_iters += iters_d
-                labels_c, state_c = _polish(labels_c, state_c, search, polished)
+                labels_c, state_c = yield from _polish(labels_c, state_c, search, polished)
             except NonConvergenceError:
                 n += 1
                 continue
@@ -1064,13 +1066,15 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
 
     Restart k is :func:`vns` on substream k of ``config.seed``, and its
     outcome is that search's, bit for bit.  The pooled start slopes are
-    computed once for all restarts.  The restarts' opening Lloyd descents
-    run in lockstep: each round fits every descending restart's grouping in
-    one batched fixed point, and a restart drops out once its descent
-    converges or fails.  Each restart then runs its jumps and local
-    searches on its own random stream and partition cache, on a pool of
-    ``n_threads`` threads when that is more than one; the selected result
-    is the same for any thread count.
+    computed once for all restarts.  Each restart is one search generator
+    with its own random stream and partition cache, and one driver
+    (:func:`_drive`) runs them all: each step fits the pending requests of
+    every restart still running (its descent's grouping, its sweep's jumps
+    or its local search's moves) in one batched fixed point.  With
+    ``n_threads`` above one, each restart is instead driven alone on a pool
+    of that many threads; the selected result is the same for any thread
+    count.  Only modes "wgfe" and "gfe" are searched; any other raises
+    ``ValueError``.
 
     A later restart replaces the best so far only when it improves on it by
     more than the searches' own 1e-12 relative threshold, so ties (often
@@ -1104,28 +1108,15 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
 
 def _restart_outcomes(data, config):
     """Per restart of :func:`multi_start`, its result or the error that ended it."""
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    start = _pooled_start(data)
-    inits = [_seeded_start(data, config, rng, *start) for rng in rngs]
     kernel = _Search(data, config)
-    searches = [kernel.restart() for _ in rngs]
-    openings = _descend(
-        data,
-        kernel,
-        [(init.theta, init.alpha, init.sigma) for init in inits],
-        [search.states for search in searches],
-    )
-
-    def run(k):
-        if isinstance(openings[k], Exception):
-            return openings[k]
-        try:
-            return _jump_phase(data, rngs[k], searches[k], openings[k])
-        except (WgfeError, np.linalg.LinAlgError) as exc:
-            return exc
-
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    start = _pooled_start(data)
+    runs = []
+    for stream in streams:
+        rng = np.random.default_rng(stream)
+        init = _seeded_start(data, config, rng, *start)
+        runs.append(_vns_run(data, kernel.restart(), rng, (init.theta, init.alpha, init.sigma)))
     if config.n_threads > 1:
         with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            return list(pool.map(run, range(config.n_restarts)))
-    return [run(k) for k in range(config.n_restarts)]
+            return list(pool.map(lambda run: _drive(kernel, [run])[0], runs))
+    return _drive(kernel, runs)

@@ -14,7 +14,6 @@ from wgfe import (
     GroupCountMismatchError,
     SimulationSpec,
     generate,
-    hausdorff_alpha,
     misclassification_rate,
     run_study,
     simple_case_misclass,
@@ -210,39 +209,6 @@ class TestMisclassificationRate:
         b = GroupAssignment([1, 2, 1, 2], 2)
         with pytest.raises(ValueError, match="units"):
             misclassification_rate(a, b)
-
-
-class TestHausdorffAlpha:
-    def test_identical_collections_give_zero(self):
-        alpha = np.random.default_rng(0).normal(size=(3, 5))
-        assert hausdorff_alpha(alpha, alpha) == 0.0
-
-    def test_single_group_reduces_to_mean_squared_gap(self):
-        a = np.array([[1.0, 2.0, 3.0]])
-        b = np.array([[0.0, 0.0, 1.0]])
-        assert hausdorff_alpha(a, b) == pytest.approx((1 + 4 + 4) / 3)
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(4, 6))
-        d = np.array(
-            [[np.mean((ra - rb) ** 2) for rb in b] for ra in a]
-        )
-        expected = max(d.min(axis=1).max(), d.min(axis=0).max())
-        assert hausdorff_alpha(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_symmetric_in_its_arguments(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(3, 4))
-        assert hausdorff_alpha(a, b) == pytest.approx(
-            hausdorff_alpha(b, a), rel=1e-12
-        )
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="shape"):
-            hausdorff_alpha(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestSimpleCaseMisclass:

@@ -268,7 +268,7 @@ class TestKernel:
         for labels in (truth.labels, misplaced):
             state = kernel.fit(labels)
             units = np.arange(40)
-            moved = kernel.fit_moves(labels, state[0], units, 3 - labels)
+            moved = kernel._solve(*kernel.move_stats(labels, state[0], units, 3 - labels))
             for i, out in [(None, state), *enumerate(moved)]:
                 cand = labels.copy()
                 if i is not None:
@@ -300,8 +300,10 @@ class TestKernel:
         lone = np.array([1, 2, 2, 2, 2, 2])
         fresh = kernel.fit(lone)
         start = kernel.fit(np.array([1, 1, 2, 2, 2, 2]))
-        moved = kernel.fit_moves(
-            np.array([1, 1, 2, 2, 2, 2]), start[0], np.array([1]), np.array([2])
+        moved = kernel._solve(
+            *kernel.move_stats(
+                np.array([1, 1, 2, 2, 2, 2]), start[0], np.array([1]), np.array([2])
+            )
         )[0]
         for state in (fresh, moved):
             assert state[3][0] == 0.0
@@ -600,7 +602,7 @@ def sequential_lloyd(data, cfg, theta, alpha, sigma, search):
                 stats = search.move_units(fitted[1], fitted[0], labels)
             fitted = labels, stats
             seed = state[0] if state is not None else theta
-            out = search.fit_stats([stats], [seed])[0]
+            out = search._solve(*solvers._request([stats], [seed]))[0]
             if isinstance(out, Exception):
                 raise out
             search.states[key] = out
@@ -665,7 +667,9 @@ def sequential_vns(data, cfg, rng):
                 )
                 total_iters += iters_d
                 if search.key(labels_c) not in searched:
-                    labels_c, state_c, _ = solvers._local_search(labels_c, state_c, search)
+                    labels_c, state_c, _ = solvers._run(
+                        search, solvers._local_search(labels_c, state_c, search)
+                    )
                     searched.add(search.key(labels_c))
             except NonConvergenceError:
                 n += 1
@@ -709,8 +713,9 @@ class TestLocalSearch:
                 return cache[key]
 
             ref_labels, ref_state = sequential_local_search(labels, state, fit, g)
-            got_labels, got_state, _ = solvers._local_search(
-                labels, state, solvers._Search(data, cfg)
+            search = solvers._Search(data, cfg)
+            got_labels, got_state, _ = solvers._run(
+                search, solvers._local_search(labels, state, search)
             )
             np.testing.assert_array_equal(got_labels, ref_labels)
             assert got_state[4] == pytest.approx(ref_state[4], rel=1e-12)
@@ -736,7 +741,7 @@ class TestLocalSearch:
         counts = np.bincount(labels - 1, minlength=g)
         keep = (targets != labels[units]) & (counts[labels[units] - 1] > 1)
         units, targets = units[keep], targets[keep]
-        outs = search.fit_moves(labels, state[0], units, targets)
+        outs = search._solve(*search.move_stats(labels, state[0], units, targets))
         obj = state[4]
         reached = next(
             k for k, out in enumerate(outs)
@@ -747,15 +752,17 @@ class TestLocalSearch:
         moved[units[reached]] = targets[reached]
 
         polished = {}
-        first_labels, _ = solvers._polish(labels, state, search, polished)
+        first_labels, _ = solvers._run(search, solvers._polish(labels, state, search, polished))
         assert not np.array_equal(first_labels, labels)
         improving = settled.fit(moved, state[0])
         assert improving[4] < obj - 1e-12 * (1.0 + abs(obj))
         search.states[search.key(moved)] = improving
         fresh = search.restart()
         fresh.states = dict(search.states)
-        ref_labels, ref_state, _ = solvers._local_search(labels, state, fresh)
-        got_labels, got_state = solvers._polish(labels, state, search, polished)
+        ref_labels, ref_state, _ = solvers._run(fresh, solvers._local_search(labels, state, fresh))
+        got_labels, got_state = solvers._run(
+            search, solvers._polish(labels, state, search, polished)
+        )
         np.testing.assert_array_equal(got_labels, ref_labels)
         assert got_state[4] == ref_state[4]
         assert not np.array_equal(got_labels, first_labels)
@@ -1016,7 +1023,7 @@ class TestVns:
 
         def counting_search(*args):
             scans[side] += 1
-            return local_search(*args)
+            return (yield from local_search(*args))
 
         moved = []
         move_units = solvers._Kernel.move_units
@@ -1060,6 +1067,14 @@ class TestVns:
         assert 0 < scans["got"] < scans["ref"]
         assert moved.count(0) > 0
 
+    def test_ggfe_mode_rejected(self, rng):
+        # the searches fit the wgfe criterion, so a ggfe run would return a
+        # wgfe fit under the ggfe label
+        data = make_dataset(rng, n=8, t=3, p=1)
+        cfg = SolverConfig(mode="ggfe", n_groups=2)
+        with pytest.raises(ValueError, match="vns"):
+            vns(data, cfg, np.random.default_rng(0))
+
     def test_search_steps_never_write_their_input_labels(self, rng):
         # each step hands on a read-only array; a write into it would raise
         data, _, _ = make_grouped_dataset(rng, n=20, t=3, p=1, g=3, sigma=[0.2, 0.5, 1.0])
@@ -1075,7 +1090,9 @@ class TestVns:
         repaired = solvers._repair_empty(keep(labels), rng.standard_normal((20, 3)))
         jumped = solvers._jump(keep(repaired), 3, 5, np.random.default_rng(1))
         search = solvers._Search(data, cfg)
-        searched, _, _ = solvers._local_search(keep(jumped), search.fit(jumped), search)
+        searched, _, _ = solvers._run(
+            search, solvers._local_search(keep(jumped), search.fit(jumped), search)
+        )
         assert np.bincount(repaired - 1, minlength=3).min() >= 1
         for arr, copy in given:
             assert not arr.flags.writeable
@@ -1109,8 +1126,8 @@ class TestMultiStart:
     ]
 
     def test_restart_k_matches_lone_vns_bitwise(self, monkeypatch):
-        # the lockstep opening descents and the per-restart jump phases give
-        # restart k exactly what vns alone gives on substream k
+        # one driver over all restarts' search generators gives restart k
+        # exactly what vns alone gives on substream k
         repaired = []
         repair = solvers._repair_empty
 
@@ -1225,7 +1242,7 @@ class TestMultiStart:
         local_search = solvers._local_search
 
         def counting_search(labels, state, search):
-            out = local_search(labels, state, search)
+            out = yield from local_search(labels, state, search)
             searches["clean" if out[2] else "stalled"] += 1
             return out
 
@@ -1291,8 +1308,12 @@ class TestMultiStart:
             outs = iter(
                 [replace(base, objective=1.0 - step * k, n_lloyd_iters=k) for k in range(4)]
             )
-            # each restart's jump phase returns its canned result
-            monkeypatch.setattr(solvers, "_jump_phase", lambda *args: next(outs))
+            # each restart's run generator returns its canned result
+            def canned_run(*args):
+                yield from ()
+                return next(outs)
+
+            monkeypatch.setattr(solvers, "_vns_run", canned_run)
             assert multi_start(data, cfg).n_lloyd_iters == pick
 
     def test_more_restarts_never_hurt(self, rng):
@@ -1310,10 +1331,11 @@ class TestMultiStart:
         # only package and linear-algebra failures count as failed restarts
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
 
-        def broken_jumps(data, rng, search, opening):
+        def broken_run(data, search, rng, start):
+            yield from ()
             raise TypeError("bug in the search")
 
-        monkeypatch.setattr(solvers, "_jump_phase", broken_jumps)
+        monkeypatch.setattr(solvers, "_vns_run", broken_run)
         with pytest.raises(TypeError, match="bug in the search"):
             multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
 
@@ -1332,13 +1354,47 @@ class TestMultiStart:
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
         errors = iter([SingularDesignError("rank deficient"), EmptyGroupError([2])])
 
-        def failing_jumps(data, rng, search, opening):
+        def failing_run(data, search, rng, start):
+            yield from ()
             raise next(errors)
 
-        monkeypatch.setattr(solvers, "_jump_phase", failing_jumps)
+        monkeypatch.setattr(solvers, "_vns_run", failing_run)
         with pytest.raises(NonConvergenceError, match="all 2 restarts failed") as info:
             multi_start(data, SolverConfig(n_groups=2, n_restarts=2))
         assert isinstance(info.value.__cause__, SingularDesignError)
+
+    def test_ggfe_mode_rejected(self, rng):
+        data = make_dataset(rng, n=8, t=3, p=1)
+        cfg = SolverConfig(mode="ggfe", n_groups=2, n_restarts=2)
+        with pytest.raises(ValueError, match="multi_start"):
+            multi_start(data, cfg)
+
+    def test_restarts_share_each_fit_step(self, monkeypatch):
+        # one driver fits the requests of every running restart in one
+        # _solve call per step: as many calls as the longest lone restart
+        # makes, and the rows of all of them
+        data, _, _ = make_grouped_dataset(
+            np.random.default_rng(705), n=36, t=3, p=2, g=3, sigma=[0.3, 0.7, 1.5]
+        )
+        cfg = SolverConfig(n_groups=3, n_restarts=4, seed=705, vns_iter_max=2, vns_neigh_max=3)
+        calls = []
+        solve = solvers._Kernel._solve
+
+        def counting_solve(kernel, counts, *args):
+            calls.append(len(counts))
+            return solve(kernel, counts, *args)
+
+        monkeypatch.setattr(solvers._Kernel, "_solve", counting_solve)
+        multi_start(data, cfg)
+        together = list(calls)
+        alone = []
+        for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_restarts):
+            calls.clear()
+            vns(data, cfg, np.random.default_rng(stream))
+            alone.append(list(calls))
+        assert len(together) == max(map(len, alone))
+        assert sum(together) == sum(map(sum, alone))
+        assert len(together) < sum(map(len, alone))
 
     def test_result_fields(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
@@ -1349,3 +1405,49 @@ class TestMultiStart:
         assert res.params.n_groups == 2
         assert res.breakdown.value == res.objective
         assert res.trace[-1] == pytest.approx(res.objective)
+
+
+class TestDrive:
+    def test_a_linalg_error_is_pinned_to_its_own_row(self):
+        # a stand-in kernel whose batch raises whenever it holds a marked
+        # row (a NaN seed): the driver refits the batch row by row, so the
+        # clean rows get their states and the marked one gets the error
+        calls = []
+
+        class StandIn:
+            def _solve(self, counts, means, cross, seeds):
+                calls.append(len(seeds))
+                if np.isnan(seeds).any():
+                    raise np.linalg.LinAlgError("marked row")
+                return [("state", float(seed[0])) for seed in seeds]
+
+        def search(*seeds):
+            k = len(seeds)
+            seeds = np.array(seeds)[:, None]
+            return (yield np.ones((k, 2)), np.zeros((k, 2, 3, 2)), np.zeros((k, 4)), seeds)
+
+        clean, marked = solvers._drive(StandIn(), [search(1.0, 2.0), search(np.nan)])
+        assert clean == [("state", 1.0), ("state", 2.0)]
+        assert len(marked) == 1 and isinstance(marked[0], np.linalg.LinAlgError)
+        assert calls == [3, 1, 1, 1]
+
+    def test_a_search_error_ends_only_its_own_generator(self):
+        # a package or linear-algebra error raised by a generator becomes its
+        # outcome, while the others run on; any other error propagates
+        class StandIn:
+            def _solve(self, counts, means, cross, seeds):
+                return [float(seed[0]) for seed in seeds]
+
+        def search(seed, error=None):
+            request = np.ones((1, 2)), np.zeros((1, 2, 3, 2)), np.zeros((1, 4)), np.array([[seed]])
+            (first,) = yield request
+            if error is not None:
+                raise error
+            (second,) = yield request
+            return first + second
+
+        failed = SingularDesignError("rank deficient")
+        outs = solvers._drive(StandIn(), [search(1.0, failed), search(2.0)])
+        assert outs == [failed, 4.0]
+        with pytest.raises(TypeError, match="bug"):
+            solvers._drive(StandIn(), [search(1.0, TypeError("bug")), search(2.0)])
