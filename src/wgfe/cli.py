@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -89,22 +90,19 @@ def ingest_csv(path) -> PanelDataset:
             unit = row[0].strip()
             if not unit:
                 raise ParseError("empty unit identifier", line=lineno, column="unit")
-            try:
-                t_val = float(row[1])
-            except ValueError:
-                t_val = float("nan")
-            if not math.isfinite(t_val):
+            t_val = _finite(row[1])
+            if t_val is None:
                 raise ParseError(
                     f"invalid time value {row[1]!r}", line=lineno, column="time"
                 )
             values = []
             for name, raw in zip(header[2:], row[2:]):
-                try:
-                    values.append(float(raw))
-                except ValueError:
+                value = _finite(raw)
+                if value is None:
                     raise ParseError(
                         f"invalid numeric value {raw!r}", line=lineno, column=name
                     )
+                values.append(value)
             key = (unit, t_val)
             if key in cells:
                 raise DuplicateCellError(
@@ -129,6 +127,15 @@ def ingest_csv(path) -> PanelDataset:
     z = np.array([cells[(u, tv)] for u in units for tv in periods], dtype=float)
     z = z.reshape(len(units), len(periods), width - 2)
     return PanelDataset(z[:, :, 0], z[:, :, 1:])
+
+
+def _finite(raw):
+    """A CSV cell as a finite float, or None if it is not one."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def emit_csv(data: PanelDataset, path):
@@ -164,11 +171,11 @@ def _clean(obj):
     return obj
 
 
-def _meta(command, seed, threads):
+def _meta(command, seed):
     return {
         "command": command,
         "seed": int(seed),
-        "threads": int(threads),
+        "threads": 1,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -192,16 +199,6 @@ def _result_dict(res):
             "weights": res.breakdown.weights,
             "value": res.breakdown.value,
         },
-    }
-
-
-def _inference_dict(inf):
-    return {
-        "var_theta": inf.var_theta,
-        "se_theta": inf.se_theta,
-        "sigma2_hat": inf.sigma2_hat,
-        "var_alpha": inf.var_alpha,
-        "dof_correction": inf.dof_correction,
     }
 
 
@@ -239,7 +236,6 @@ def _solver_config(args, mode=None):
         max_lloyd_iters=args.max_iters,
         fp_tol=args.tol,
         seed=args.seed,
-        n_threads=args.threads,
     )
 
 
@@ -252,9 +248,9 @@ def cmd_estimate(args) -> int:
         result = multi_start(data, config)
     inference = variance_estimates(data, result)
     payload = {
-        "meta": _meta("estimate", args.seed, args.threads),
+        "meta": _meta("estimate", args.seed),
         "result": _result_dict(result),
-        "inference": _inference_dict(inference),
+        "inference": asdict(inference),
     }
     _write_payload(payload, args.out)
     return EXIT_OK
@@ -320,16 +316,8 @@ def cmd_simulate(args) -> int:
         spec, estimators, args.replications, np.random.default_rng(args.seed)
     )
     payload = {
-        "meta": _meta("simulate", args.seed, 1),
-        "report": {
-            "estimators": list(report.estimators),
-            "rmse_theta": {k: list(v) for k, v in report.rmse_theta.items()},
-            "misclass_mean": report.misclass_mean,
-            "misclass_se": report.misclass_se,
-            "n_replications": report.n_replications,
-            "n_failures": report.n_failures,
-            "runtime_seconds": report.runtime_seconds,
-        },
+        "meta": _meta("simulate", args.seed),
+        "report": asdict(report),
     }
     _write_payload(payload, args.out)
     if args.curves:
@@ -342,22 +330,8 @@ def cmd_select_g(args) -> int:
     config = _solver_config(args)
     selection = select_n_groups(data, config, g_max=args.gmax)
     payload = {
-        "meta": _meta("select-g", args.seed, args.threads),
-        "result": {
-            "selected": selection.selected,
-            "sigma2_base": selection.sigma2_base,
-            "rows": [
-                {
-                    "n_groups": row.n_groups,
-                    "objective": row.objective,
-                    "ssr": row.ssr,
-                    "bic": row.bic,
-                    "converged": row.converged,
-                    "message": row.message,
-                }
-                for row in selection.rows
-            ],
-        },
+        "meta": _meta("select-g", args.seed),
+        "result": asdict(selection),
     }
     _write_payload(payload, args.out)
     return EXIT_OK
@@ -369,13 +343,8 @@ def cmd_test_homoskedasticity(args) -> int:
     result = multi_start(data, config)
     test = homoskedasticity_test(data, result)
     payload = {
-        "meta": _meta("test-homoskedasticity", args.seed, args.threads),
-        "result": {
-            "tau": test.tau,
-            "q_gfe": test.q_gfe,
-            "q_wgfe": test.q_wgfe,
-            "d_nt": test.d_nt,
-        },
+        "meta": _meta("test-homoskedasticity", args.seed),
+        "result": asdict(test),
     }
     _write_payload(payload, args.out)
     return EXIT_OK
@@ -397,10 +366,6 @@ def _add_solver_flags(sub, with_mode=True):
     sub.add_argument(
         "--max-iters", type=int, default=100,
         help="cap on assignment/update rounds per run",
-    )
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for restarts (default 1)",
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,10 +81,8 @@ class SolverConfig:
     assignment_rule : {"alg1"}
         The scale-aware assignment rule of the paper's Algorithm 1.
     n_threads : int
-        Worker threads for :func:`multi_start`: above one, each restart is
-        driven alone on a pool of this many threads, instead of all
-        restarts' fits being batched together on the calling thread;
-        results are identical for any value.
+        Has no effect: every search runs on the calling thread.  Kept, and
+        still checked to be at least 1, for callers that set it.
     """
 
     mode: str = "wgfe"
@@ -596,14 +593,15 @@ def lloyd(
     Starting from ``init``, assigns every unit by the rule, refreshes
     parameters at the new grouping, and repeats until the assignment stops
     changing or ``max_lloyd_iters`` is hit.  Assignments that empty a group
-    are repaired by reseeding the group from the worst-fit unit.  Every
-    grouping is fitted afresh, seeded at the previous fit's slopes, from
-    its per-group statistics; after the first grouping these are moved
+    are repaired by reseeding the group from the worst-fit unit.  Each new
+    grouping is fitted, seeded at the previous fit's slopes, from its
+    per-group statistics; after the first grouping these are moved
     from the previous grouping's by the units that changed group, unless
     so many moved that a rebuild from all units is cheaper or the move
     would lose precision (see ``_Kernel.move_units``).  This is the descent
-    of :func:`vns` (:func:`_descent`) without its partition cache, driven
-    alone.
+    of :func:`vns` (:func:`_descent`) with its own partition cache, driven
+    alone: a grouping the descent revisits keeps its first fit.  Only modes
+    "wgfe" and "gfe" are searched; any other raises ``ValueError``.
 
     The returned state is self-consistent: parameters are the update at the
     returned assignment, and the assignment reproduces itself under the rule
@@ -621,13 +619,9 @@ def lloyd(
     descent stretch, from the last such rise to the fixed point, and is
     non-increasing by construction; ``n_lloyd_iters`` counts every round.
     """
-    if config.mode not in ("wgfe", "gfe"):
-        raise ValueError(f"lloyd handles modes 'wgfe'/'gfe', got {config.mode!r}")
-    kernel = _Kernel(data, config)
+    search = _Search(data, config)
     start = (init.theta, init.alpha, init.sigma)
-    state, labels, trace, n_iters, converged = _run(
-        kernel, _descent(data, kernel, start, None)
-    )
+    state, labels, trace, n_iters, converged = _run(search, _descent(data, search, start))
     return _build_result(config, state, labels, n_iters, converged, trace)
 
 
@@ -699,52 +693,50 @@ def _run(kernel, run):
     return out
 
 
-def _descent(data, kernel, start, cache):
+def _descent(data, search, start):
     """One Lloyd descent from ``start``, as in :func:`lloyd`, as a search generator.
 
-    ``start`` is ``(theta, alpha, sigma)``, and ``cache`` a partition cache
-    (a ``_Search.states`` dict, or None to fit every grouping afresh).  Each
-    round looks its grouping up in ``cache``, or requests its fit (one row,
-    seeded at the last fit's slopes; see :func:`_drive`) and caches it; then
-    assigns and repairs.  Returns ``(state, labels, trace, n_iters,
+    ``start`` is ``(theta, alpha, sigma)``, and ``search`` a ``_Search``
+    whose partition cache the descent reads and writes.  Each round looks
+    its grouping up in ``search.states``, or requests its fit (one row,
+    seeded at the last fit's slopes; see :func:`_drive`) and caches it;
+    then assigns and repairs.  Returns ``(state, labels, trace, n_iters,
     converged)``; a failed fit, assignment or repair raises.
 
     The descent keeps the statistics of the last grouping it fitted, and
     the key of its current grouping.  Its first grouping is fitted from
-    ``kernel.stats``; each later one from the kept statistics, moved by the
-    units that changed group since (``kernel.move_units``), and its key
+    ``search.stats``; each later one from the kept statistics, moved by the
+    units that changed group since (``search.move_units``), and its key
     from the previous key, changed by the codes of the units that moved
-    (``kernel.key_after``).  Neither is rebuilt from all N units unless
-    the move falls back to ``kernel.stats``.
+    (``search.key_after``).  Neither is rebuilt from all N units unless
+    the move falls back to ``search.stats``.
     """
-    config = kernel.config
+    config = search.config
     theta, alpha, sigma = start
     labels = _repair_empty(*_assign(data, theta, alpha, sigma, config))
     seed = theta
-    key = None if cache is None else kernel.key(labels)
+    key = search.key(labels)
     # the (labels, stats) of the last grouping fitted
     fitted = None
     trace = []
     for it in range(config.max_lloyd_iters):
-        state = None if cache is None else cache.get(key)
+        state = search.states.get(key)
         if state is None:
             if fitted is None:
-                stats = kernel.stats(labels)
+                stats = search.stats(labels)
             else:
-                stats = kernel.move_units(fitted[1], fitted[0], labels)
+                stats = search.move_units(fitted[1], fitted[0], labels)
             fitted = labels, stats
             (state,) = yield _request([stats], [seed])
             if isinstance(state, Exception):
                 raise state
-            if cache is not None:
-                cache[key] = state
+            search.states[key] = state
         trace.append(state[4])
         labels_next = _repair_empty(*_assign(data, *state[:3], config))
         converged = np.array_equal(labels_next, labels)
         if converged or it == config.max_lloyd_iters - 1:
             return state, labels, _last_descent(trace), it + 1, converged
-        if cache is not None:
-            key = kernel.key_after(key, labels, labels_next)
+        key = search.key_after(key, labels, labels_next)
         labels, seed = labels_next, state[0]
 
 
@@ -798,7 +790,7 @@ def _jump(labels, g, n_moves, rng):
 
 
 class _Search(_Kernel):
-    """The kernel of one :func:`vns` run, with its partition cache.
+    """The kernel of one :func:`lloyd` or :func:`vns` search, with its partition cache.
 
     Partitions recur constantly across jump cycles.  ``states`` maps the key
     of a labeling to the first state fitted for it and used, and is written
@@ -824,7 +816,7 @@ class _Search(_Kernel):
     def __init__(self, data, config):
         if config.mode not in ("wgfe", "gfe"):
             raise ValueError(
-                f"vns and multi_start handle modes 'wgfe'/'gfe', got {config.mode!r}"
+                f"lloyd, vns and multi_start handle modes 'wgfe'/'gfe', got {config.mode!r}"
             )
         super().__init__(data, config)
         top = np.iinfo(np.uint64).max
@@ -1009,9 +1001,7 @@ def _vns_run(data, search, rng, start):
     that ends the run raises.
     """
     config = search.config
-    best_state, best_labels, _, total_iters, converged = yield from _descent(
-        data, search, start, search.states
-    )
+    best_state, best_labels, _, total_iters, converged = yield from _descent(data, search, start)
     polished = {}
     best_obj = best_state[4]
     improvements = [best_obj]
@@ -1040,9 +1030,7 @@ def _vns_run(data, search, rng, start):
                     if isinstance(fits[n], Exception):
                         raise fits[n]
                     state_j = search.states[keys[n - 1]] = fits[n]
-                state_c, labels_c, _, iters_d, conv_d = yield from _descent(
-                    data, search, state_j[:3], search.states
-                )
+                state_c, labels_c, _, iters_d, conv_d = yield from _descent(data, search, state_j[:3])
                 total_iters += iters_d
                 labels_c, state_c = yield from _polish(labels_c, state_c, search, polished)
             except NonConvergenceError:
@@ -1070,11 +1058,8 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     with its own random stream and partition cache, and one driver
     (:func:`_drive`) runs them all: each step fits the pending requests of
     every restart still running (its descent's grouping, its sweep's jumps
-    or its local search's moves) in one batched fixed point.  With
-    ``n_threads`` above one, each restart is instead driven alone on a pool
-    of that many threads; the selected result is the same for any thread
-    count.  Only modes "wgfe" and "gfe" are searched; any other raises
-    ``ValueError``.
+    or its local search's moves) in one batched fixed point.  Only modes
+    "wgfe" and "gfe" are searched; any other raises ``ValueError``.
 
     A later restart replaces the best so far only when it improves on it by
     more than the searches' own 1e-12 relative threshold, so ties (often
@@ -1116,7 +1101,4 @@ def _restart_outcomes(data, config):
         rng = np.random.default_rng(stream)
         init = _seeded_start(data, config, rng, *start)
         runs.append(_vns_run(data, kernel.restart(), rng, (init.theta, init.alpha, init.sigma)))
-    if config.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            return list(pool.map(lambda run: _drive(kernel, [run])[0], runs))
     return _drive(kernel, runs)

@@ -107,6 +107,22 @@ class TestIngestCsv:
             ingest_csv(path)
         assert (info.value.line, info.value.column) == (3, "time")
 
+    def test_nan_outcome_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,y\na,1,1.0\na,2,nan\nb,1,3.0\nb,2,4.0\n")
+        with pytest.raises(ParseError, match="nan") as info:
+            ingest_csv(path)
+        assert (info.value.line, info.value.column) == (3, "y")
+
+    def test_infinite_covariate_exits_two_with_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit,time,y,x1\na,1,1.0,0.5\na,2,2.0,0.1\nb,1,3.0,-inf\nb,2,4.0,0.2\n"
+        )
+        assert main(["estimate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["code"], err["line"], err["column"]) == ("parse", 4, "x1")
+
     def test_bad_header_is_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,period,outcome\n1,1,1.0\n")
@@ -502,6 +518,38 @@ class TestOutputHygiene:
         assert "NaN" not in text and "Infinity" not in text
         doc = json.loads(text)
         assert doc["report"]["misclass_mean"]["two_way_fe"] is None
+
+    @pytest.mark.parametrize("command", ["estimate", "select-g", "test-homoskedasticity"])
+    def test_threads_flag_is_rejected(self, command, tmp_path, capsys):
+        data, _ = clustered_fixture()
+        panel = write_panel(tmp_path / "panel.csv", data)
+        extra = ["--gmax", "2"] if command == "select-g" else []
+        with pytest.raises(SystemExit) as info:
+            main([command, panel, *extra, "--threads", "2"])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_every_command_records_one_thread(self, tmp_path):
+        data, _ = clustered_fixture(noise_scale=0.3)
+        panel = write_panel(tmp_path / "panel.csv", data)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_units": 12, "n_periods": 3, "n_groups": 2,
+            "theta_true": [0.5], "alpha_true": [[0, 0, 0], [3, 3, 3]],
+            "sigma_true": [0.1, 0.1], "group_probs": [0.5, 0.5],
+            "covariate_law": {"kind": "ar1", "rho": 0.5, "innovation_sd": 1.0},
+        }))
+        runs = {
+            "estimate": ["estimate", panel, "--restarts", "2"],
+            "select-g": ["select-g", panel, "--gmax", "2", "--restarts", "2"],
+            "test-homoskedasticity": ["test-homoskedasticity", panel, "--restarts", "2"],
+            "simulate": ["simulate", str(spec), "--replications", "1"],
+        }
+        for command, argv in runs.items():
+            out = tmp_path / f"{command}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            meta = json.loads(out.read_text())["meta"]
+            assert (meta["command"], meta["threads"]) == (command, 1)
 
     def test_importing_the_cli_leaves_scipy_unloaded(self):
         # SciPy is imported only where a command needs it
