@@ -65,7 +65,7 @@ def ingest_csv(path) -> PanelDataset:
     periods are sorted ascending.  Missing or repeated (unit, time) cells
     are rejected with the offending cells named.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -256,19 +256,35 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _require(raw, where, keys):
+    """Reject a JSON value that is not an object or lacks one of ``keys``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in raw:
+            raise ValueError(f"{where} is missing {key!r}")
+
+
 def _spec_from_dict(raw) -> SimulationSpec:
+    _require(raw, "process description", (
+        "n_units", "n_periods", "n_groups", "theta_true", "alpha_true",
+        "sigma_true", "group_probs",
+    ))
     error_law = raw.get("error_law", "gaussian_grouped")
     if error_law != "gaussian_grouped":
         raise ValueError(f"unknown error law {error_law!r}")
     law_raw = raw.get("covariate_law")
     law = None
     if law_raw is not None:
+        _require(law_raw, "covariate_law", ())
         kind = law_raw.get("kind")
         if kind == "ar1":
+            _require(law_raw, "covariate_law", ("rho", "innovation_sd"))
             law = AR1Covariates(
                 rho=law_raw["rho"], innovation_sd=law_raw["innovation_sd"]
             )
         elif kind == "fixed":
+            _require(law_raw, "covariate_law", ("values",))
             law = FixedCovariates(np.asarray(law_raw["values"], dtype=float))
         else:
             raise ValueError(f"unknown covariate law kind {kind!r}")
@@ -306,7 +322,7 @@ def _write_curves(spec, seed, periods, path):
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
+    with open(args.spec, encoding="utf-8-sig") as fh:
         raw = json.load(fh)
     spec = _spec_from_dict(raw)
     if args.curves and spec.n_groups < 2:
@@ -445,7 +461,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+            json.JSONDecodeError, ValueError) as exc:
         _emit_error(exc, EXIT_INPUT)
         return EXIT_INPUT
     except (WgfeError, np.linalg.LinAlgError) as exc:

@@ -165,10 +165,6 @@ class SoftAssignment:
     def n_groups(self) -> int:
         return self.weights.shape[1]
 
-    def group_weights(self) -> np.ndarray:
-        """Average membership per group (the group mass function)."""
-        return self.weights.mean(axis=0)
-
 
 def group_covariances(data, theta, alpha, assignment):
     """Per-group residual covariances and group masses.

@@ -66,9 +66,10 @@ class InferenceResult:
 class HomoskedasticityTest:
     """Scaled gap between the pooled criterion and the squared weighted one.
 
-    ``tau = d_nt * (q_gfe - q_wgfe**2)`` is non-negative at a weighted
-    optimum and exactly zero when every group shares one scale; it is a
-    descriptive diagnostic, no null distribution is attached.
+    ``tau = d_nt * (q_gfe - q_wgfe**2)`` with ``d_nt = N T``.  It is
+    non-negative at a weighted optimum and exactly zero when every group
+    shares one scale; it is a descriptive diagnostic, no null distribution
+    is attached.
     """
 
     tau: float
@@ -174,21 +175,18 @@ def variance_estimates(data: PanelDataset, result: EstimationResult) -> Inferenc
 
 
 def homoskedasticity_test(
-    data: PanelDataset, result: EstimationResult, d_nt: float = None
+    data: PanelDataset, result: EstimationResult
 ) -> HomoskedasticityTest:
     """Jensen-gap diagnostic for group heteroskedasticity.
 
     Evaluates both criteria at the fitted parameters and assignment and
-    scales their gap by ``d_nt`` (defaults to NT).  Values near zero are
-    consistent with a common error scale across groups.
+    scales their gap by NT.  Values near zero are consistent with a common
+    error scale across groups.
     """
     theta, alpha = result.params.theta, result.params.alpha
     q_wgfe = wgfe_objective(data, theta, alpha, result.assignment).value
     q_gfe = gfe_objective(data, theta, alpha, result.assignment).value
-    if d_nt is None:
-        d_nt = float(data.n_units * data.n_periods)
-    if d_nt <= 0:
-        raise ValueError("d_nt must be positive")
+    d_nt = float(data.n_units * data.n_periods)
     return HomoskedasticityTest(
         tau=d_nt * (q_gfe - q_wgfe * q_wgfe),
         q_gfe=q_gfe,
@@ -198,41 +196,37 @@ def homoskedasticity_test(
 
 
 def select_n_groups(
-    data: PanelDataset,
-    config: SolverConfig,
-    g_max: int,
-    penalty_scale: float = 1.0,
+    data: PanelDataset, config: SolverConfig, g_max: int
 ) -> GroupSelection:
     """Pick the group count in 1..g_max by a BIC on the pooled residuals.
 
     Each candidate count is fit with :func:`wgfe.solvers.multi_start` under
     ``config``; the criterion is
 
-        BIC(G) = sigma2_base * penalty_scale * (G T + N + p) ln(NT) / NT
-                 + SSR(G) / NT
+        BIC(G) = sigma2_base * (G T + N + p) ln(NT) / NT + SSR(G) / NT
 
     with ``sigma2_base`` the pooled residual variance of the most generous
     fit (G = g_max).  Counts whose BIC ties the minimum within 1e-9 resolve
     to the smallest count, so a perfectly fit panel selects the most
-    parsimonious perfect count.  Candidates whose search fails (a package
-    error, a linear-algebra failure, or a ``ValueError`` such as more groups
-    than units) are recorded in the table and skipped; any other exception
-    propagates.
+    parsimonious perfect count.  A count above N, and a candidate whose
+    search fails with a package error or a linear-algebra failure, is
+    recorded in the table and skipped; any other exception propagates.
     """
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
     if config.mode not in ("wgfe", "gfe"):
         raise ValueError("group-count selection supports modes 'wgfe' and 'gfe'")
-    if penalty_scale < 0:
-        raise ValueError("penalty_scale must be non-negative")
     n, t, p = data.n_units, data.n_periods, data.n_covariates
     nt = n * t
     fits = {}
     failures = {}
     for g in range(1, g_max + 1):
+        if g > n:
+            failures[g] = f"need at least {g} units to seed {g} groups"
+            continue
         try:
             fits[g] = multi_start(data, replace(config, n_groups=g))
-        except (WgfeError, np.linalg.LinAlgError, ValueError) as exc:
+        except (WgfeError, np.linalg.LinAlgError) as exc:
             failures[g] = str(exc)
     if g_max not in fits:
         raise ValueError(f"reference fit at g_max={g_max} failed: {failures[g_max]}")
@@ -252,7 +246,7 @@ def select_n_groups(
             continue
         res = fits[g]
         ssr = pooled_ssr(res)
-        penalty = sigma2_base * penalty_scale * (g * t + n + p) * np.log(nt) / nt
+        penalty = sigma2_base * (g * t + n + p) * np.log(nt) / nt
         bic = penalty + ssr / nt
         rows.append(GroupCandidate(g, res.objective, ssr, bic, res.converged))
         best_bic = min(best_bic, bic)

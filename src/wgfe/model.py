@@ -65,16 +65,13 @@ class PanelDataset:
     covariates : ndarray, shape (N, T, p)
         Regressors aligned with ``outcomes``; ``p`` may be zero for pure
         clustering problems.
-    unit_labels : tuple, optional
-        External identifiers for the N units; defaults to 0..N-1.
-    period_labels : tuple, optional
-        External identifiers for the T periods; defaults to 0..T-1.
+
+    Units and periods are identified by position; ``wgfe.cli.ingest_csv``
+    maps a CSV's unit and time columns onto these rows and columns.
     """
 
     outcomes: np.ndarray
     covariates: np.ndarray
-    unit_labels: tuple = None
-    period_labels: tuple = None
 
     def __post_init__(self):
         y = _as_readonly(self.outcomes)
@@ -96,16 +93,6 @@ class PanelDataset:
             raise ValueError("covariates contain non-finite values")
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "covariates", _as_readonly(x))
-        units = self.unit_labels if self.unit_labels is not None else range(n)
-        periods = self.period_labels if self.period_labels is not None else range(t)
-        units = tuple(units)
-        periods = tuple(periods)
-        if len(units) != n:
-            raise ValueError(f"expected {n} unit labels, got {len(units)}")
-        if len(periods) != t:
-            raise ValueError(f"expected {t} period labels, got {len(periods)}")
-        object.__setattr__(self, "unit_labels", units)
-        object.__setattr__(self, "period_labels", periods)
 
     @property
     def n_units(self) -> int:

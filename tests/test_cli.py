@@ -123,6 +123,21 @@ class TestIngestCsv:
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["code"], err["line"], err["column"]) == ("parse", 4, "x1")
 
+    def test_byte_order_mark_gives_the_plain_files_json(self, tmp_path):
+        data, _ = clustered_fixture(noise_scale=0.3)
+        plain = write_panel(tmp_path / "plain.csv", data)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        docs = []
+        for panel in (plain, marked):
+            out = tmp_path / "fit.json"
+            assert main(["estimate", str(panel), "--restarts", "2", "--seed", "1",
+                         "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            del doc["meta"]["timestamp"]
+            docs.append(json.dumps(doc, sort_keys=True))
+        assert docs[0] == docs[1]
+
     def test_bad_header_is_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,period,outcome\n1,1,1.0\n")
@@ -389,6 +404,29 @@ class TestSimulateCommand:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error law" in err["error"]["message"]
+
+    def test_byte_order_mark_in_the_spec_is_accepted(self, tmp_path):
+        spec = Path(self.write_spec(tmp_path))
+        spec.write_bytes(b"\xef\xbb\xbf" + spec.read_bytes())
+        assert main(["simulate", str(spec), "--replications", "1",
+                     "--out", str(tmp_path / "study.json")]) == 0
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda spec: [1, 2], "process description must be a JSON object"),
+        (lambda spec: {k: v for k, v in spec.items() if k != "n_units"},
+         "process description is missing 'n_units'"),
+        (lambda spec: {**spec, "covariate_law": [0.5]}, "covariate_law must be a JSON object"),
+        (lambda spec: {**spec, "covariate_law": {"kind": "ar1", "rho": 0.5}},
+         "covariate_law is missing 'innovation_sd'"),
+    ], ids=["array", "missing_key", "law_array", "missing_law_key"])
+    def test_malformed_spec_exits_two_naming_the_problem(self, edit, named, tmp_path, capsys):
+        path = Path(self.write_spec(tmp_path))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["simulate", str(path), "--replications", "1"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["code"], err["exit_status"], err["message"]) == ("value", 2, named)
 
 
 class TestSelectGCommand:

@@ -133,7 +133,6 @@ class TestSoftAssignment:
         soft = SoftAssignment.from_hard(gamma)
         expect = np.array([[0, 1, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         np.testing.assert_array_equal(soft.weights, expect)
-        np.testing.assert_allclose(soft.group_weights(), [1 / 3, 2 / 3, 0.0])
 
 
 class TestGroupCovariances:

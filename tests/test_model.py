@@ -144,14 +144,6 @@ class TestPanelDataset:
         with pytest.raises(ValueError):
             data.outcomes[0, 0] = 1.0
 
-    def test_label_length_checked(self, rng):
-        with pytest.raises(ValueError, match="unit labels"):
-            PanelDataset(
-                rng.standard_normal((4, 2)),
-                rng.standard_normal((4, 2, 1)),
-                unit_labels=("a", "b"),
-            )
-
 
 class TestGroupAssignment:
     def test_counts_weights_empty(self):

@@ -361,19 +361,6 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="replication"):
             run_study(spec, ["gfe"], 0, np.random.default_rng(0))
 
-    def test_solver_config_override_is_respected(self):
-        from wgfe import SolverConfig
-
-        spec = self.zero_noise_spec()
-        cfg = SolverConfig(
-            mode="wgfe", n_groups=2, n_restarts=2, vns_iter_max=1,
-            vns_neigh_max=0, seed=0,
-        )
-        report = run_study(
-            spec, ["wgfe"], 2, np.random.default_rng(5), solver_config=cfg
-        )
-        assert report.misclass_mean["wgfe"] == 0.0
-
 
 class TestStudyReportValidation:
     def test_rejects_negative_rmse(self):
