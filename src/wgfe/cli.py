@@ -26,6 +26,7 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -61,9 +62,17 @@ def ingest_csv(path) -> PanelDataset:
     """Read a long-format panel CSV into a balanced dataset.
 
     The header must start ``unit,time,y``; any further columns are
-    covariates in order.  Units keep their order of first appearance and
-    periods are sorted ascending.  Missing or repeated (unit, time) cells
-    are rejected with the offending cells named.
+    covariates in order.  A leading UTF-8 byte-order mark is ignored, and
+    so are empty rows and rows whose fields are all blank (they still
+    count as lines).  Every other row has the header's width and a
+    nonblank unit id, which is stripped; quoting follows :mod:`csv`, so
+    ``"a,b"`` is one id.  ``time``, ``y`` and the covariates are finite
+    numbers as ``float`` reads them, so ``1`` and ``1.0`` are one period.
+    Units keep their order of first appearance and periods are sorted
+    ascending.  A bad field count, an empty unit id, a cell that is not a
+    finite number and a repeated (unit, time) cell are reported at their
+    line; the first such problem in file order is raised.  Only then are
+    missing cells reported, the first five in unit and period order.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -75,58 +84,90 @@ def ingest_csv(path) -> PanelDataset:
             raise ParseError(
                 "header must start with unit,time,y", line=1
             )
-        width = len(header)
-        cells = {}
-        units = []
-        seen = set()
-        times = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != width:
-                raise ParseError(
-                    f"expected {width} fields, found {len(row)}", line=lineno
-                )
-            unit = row[0].strip()
-            if not unit:
-                raise ParseError("empty unit identifier", line=lineno, column="unit")
-            t_val = _finite(row[1])
-            if t_val is None:
-                raise ParseError(
-                    f"invalid time value {row[1]!r}", line=lineno, column="time"
-                )
-            values = []
-            for name, raw in zip(header[2:], row[2:]):
-                value = _finite(raw)
-                if value is None:
-                    raise ParseError(
-                        f"invalid numeric value {raw!r}", line=lineno, column=name
-                    )
-                values.append(value)
-            key = (unit, t_val)
-            if key in cells:
-                raise DuplicateCellError(
-                    f"repeated cell for unit {unit!r}, time {row[1].strip()}",
-                    line=lineno,
-                )
-            cells[key] = values
-            if unit not in seen:
-                seen.add(unit)
-                units.append(unit)
-            times.add(t_val)
-    if not cells:
+        rows = list(reader)
+    width = len(header)
+    kept = [row for row in rows if len(row) == width and row[0].strip()]
+    # every row left out must be blank; kept rows never are
+    if len(kept) < len(rows) and len(kept) + sum(map(_blank, rows)) < len(rows):
+        raise _first_problem(header, rows)
+    if not kept:
         raise ParseError("no data rows")
-    periods = sorted(times)
-    missing = [
-        (u, t) for u in units for t in periods if (u, t) not in cells
-    ]
-    if missing:
-        shown = ", ".join(f"({u}, {t:g})" for u, t in missing[:5])
+    columns = list(zip(*kept))
+    try:
+        cells = np.fromiter(
+            map(float, chain.from_iterable(columns[1:])),
+            float, count=len(kept) * (width - 1),
+        ).reshape(width - 1, len(kept))
+    except ValueError:
+        raise _first_problem(header, rows) from None
+    if not np.isfinite(cells).all():
+        raise _first_problem(header, rows)
+    names = list(map(str.strip, columns[0]))
+    units = {unit: k for k, unit in enumerate(dict.fromkeys(names))}
+    unit_idx = np.fromiter(map(units.__getitem__, names), np.intp, count=len(names))
+    times = cells[0]
+    _, first, period_idx = np.unique(times, return_index=True, return_inverse=True)
+    n_periods = len(first)
+    slot = unit_idx * n_periods + period_idx
+    counts = np.bincount(slot, minlength=len(units) * n_periods)
+    if counts.max() > 1:
+        raise _first_problem(header, rows)
+    if len(kept) < counts.size:
+        ids = list(units)
+        missing = np.flatnonzero(counts == 0)
+        shown = ", ".join(
+            f"({ids[c // n_periods]}, {times[first[c % n_periods]]:g})"
+            for c in missing[:5]
+        )
         more = ", ..." if len(missing) > 5 else ""
         raise UnbalancedPanelError(f"missing cells: {shown}{more}")
-    z = np.array([cells[(u, tv)] for u in units for tv in periods], dtype=float)
-    z = z.reshape(len(units), len(periods), width - 2)
+    z = np.empty((counts.size, width - 2))
+    z[slot] = cells[1:].T
+    z = z.reshape(len(units), n_periods, width - 2)
     return PanelDataset(z[:, :, 0], z[:, :, 1:])
+
+
+def _blank(row):
+    """Whether a CSV row is empty or has only blank fields."""
+    return not any(map(str.strip, row))
+
+
+def _first_problem(header, rows):
+    """The first row error in file order, as the exception to raise.
+
+    ``rows`` follow the header, so the first is line 2.  Called only once
+    a bulk check in :func:`ingest_csv` has failed, so some row has a
+    problem.
+    """
+    width = len(header)
+    seen = set()
+    for lineno, row in enumerate(rows, start=2):
+        if _blank(row):
+            continue
+        if len(row) != width:
+            return ParseError(
+                f"expected {width} fields, found {len(row)}", line=lineno
+            )
+        unit = row[0].strip()
+        if not unit:
+            return ParseError("empty unit identifier", line=lineno, column="unit")
+        t_val = _finite(row[1])
+        if t_val is None:
+            return ParseError(
+                f"invalid time value {row[1]!r}", line=lineno, column="time"
+            )
+        for name, raw in zip(header[2:], row[2:]):
+            if _finite(raw) is None:
+                return ParseError(
+                    f"invalid numeric value {raw!r}", line=lineno, column=name
+                )
+        key = (unit, t_val)
+        if key in seen:
+            return DuplicateCellError(
+                f"repeated cell for unit {unit!r}, time {row[1].strip()}",
+                line=lineno,
+            )
+        seen.add(key)
 
 
 def _finite(raw):
@@ -265,8 +306,28 @@ def _require(raw, where, keys):
             raise ValueError(f"{where} is missing {key!r}")
 
 
+def _scalar(raw, where, key, kind):
+    """``raw[key]`` as a JSON integer (``kind`` int) or number (int, float)."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where} {key!r} must be {noun}, got {value!r}")
+    return value
+
+
+def _numbers(raw, where, key):
+    """``raw[key]``, a number or nested arrays of numbers, as a float array."""
+    try:
+        return np.asarray(raw[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{where} {key!r} must be a number or an array of numbers"
+        ) from None
+
+
 def _spec_from_dict(raw) -> SimulationSpec:
-    _require(raw, "process description", (
+    where = "process description"
+    _require(raw, where, (
         "n_units", "n_periods", "n_groups", "theta_true", "alpha_true",
         "sigma_true", "group_probs",
     ))
@@ -281,23 +342,29 @@ def _spec_from_dict(raw) -> SimulationSpec:
         if kind == "ar1":
             _require(law_raw, "covariate_law", ("rho", "innovation_sd"))
             law = AR1Covariates(
-                rho=law_raw["rho"], innovation_sd=law_raw["innovation_sd"]
+                rho=_scalar(law_raw, "covariate_law", "rho", (int, float)),
+                innovation_sd=_scalar(
+                    law_raw, "covariate_law", "innovation_sd", (int, float)
+                ),
             )
         elif kind == "fixed":
             _require(law_raw, "covariate_law", ("values",))
-            law = FixedCovariates(np.asarray(law_raw["values"], dtype=float))
+            law = FixedCovariates(_numbers(law_raw, "covariate_law", "values"))
         else:
             raise ValueError(f"unknown covariate law kind {kind!r}")
+    dynamic = raw.get("dynamic", False)
+    if not isinstance(dynamic, bool):
+        raise ValueError(f"{where} 'dynamic' must be true or false, got {dynamic!r}")
     return SimulationSpec(
-        n_units=raw["n_units"],
-        n_periods=raw["n_periods"],
-        n_groups=raw["n_groups"],
-        theta_true=np.asarray(raw["theta_true"], dtype=float),
-        alpha_true=np.asarray(raw["alpha_true"], dtype=float),
-        sigma_true=np.asarray(raw["sigma_true"], dtype=float),
-        group_probs=np.asarray(raw["group_probs"], dtype=float),
+        n_units=_scalar(raw, where, "n_units", int),
+        n_periods=_scalar(raw, where, "n_periods", int),
+        n_groups=_scalar(raw, where, "n_groups", int),
+        theta_true=_numbers(raw, where, "theta_true"),
+        alpha_true=_numbers(raw, where, "alpha_true"),
+        sigma_true=_numbers(raw, where, "sigma_true"),
+        group_probs=_numbers(raw, where, "group_probs"),
         covariate_law=law,
-        dynamic=bool(raw.get("dynamic", False)),
+        dynamic=dynamic,
     )
 
 

@@ -348,7 +348,7 @@ def _membership_derivatives(data, theta, alpha, factors):
     grad = np.empty((data.n_units, len(maps)))
     for k, t_k in enumerate(maps):
         r = v - np.asarray(alpha, dtype=float)[k]
-        grad[:, k] = np.einsum("it,ts,is->i", r, t_k, r)
+        grad[:, k] = np.einsum("it,it->i", r @ t_k, r)
     return (grad + consts) / data.n_units
 
 

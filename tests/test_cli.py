@@ -158,6 +158,89 @@ class TestIngestCsv:
         assert first.read_text() == second.read_text()
 
 
+def ingest_text(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    return ingest_csv(path)
+
+
+def ingest_error(tmp_path, text, kind=ParseError):
+    with pytest.raises(kind) as info:
+        ingest_text(tmp_path, text)
+    return type(info.value), str(info.value), info.value.line, info.value.column
+
+
+class TestIngestCsvRows:
+    def test_blank_rows_are_skipped_but_counted_as_lines(self, tmp_path):
+        text = "unit,time,y\na,1,1.0\n\n,,\n  , ,\t\na,2,2.0\n"
+        data = ingest_text(tmp_path, text)
+        np.testing.assert_array_equal(data.outcomes, [[1.0, 2.0]])
+        assert ingest_error(tmp_path, text + "a,3,oops\n") == (
+            ParseError, "invalid numeric value 'oops' (line 7, column y)", 7, "y"
+        )
+
+    def test_wrong_field_count_is_rejected(self, tmp_path):
+        assert ingest_error(tmp_path, "unit,time,y\na,1,1.0\na,2,2.0,3.0\n") == (
+            ParseError, "expected 3 fields, found 4 (line 3)", 3, None
+        )
+        assert ingest_error(tmp_path, "unit,time,y,x1\na,1,1.0\n")[1:] == (
+            "expected 4 fields, found 3 (line 2)", 2, None
+        )
+
+    def test_empty_unit_id_is_rejected(self, tmp_path):
+        assert ingest_error(tmp_path, "unit,time,y\na,1,1.0\n  ,2,2.0\n") == (
+            ParseError, "empty unit identifier (line 3, column unit)", 3, "unit"
+        )
+
+    def test_integer_and_decimal_times_are_one_period(self, tmp_path):
+        data = ingest_text(tmp_path, "unit,time,y\na,1,1.0\na,2.0,2.0\nb,1.0,3.0\nb,2,4.0\n")
+        np.testing.assert_array_equal(data.outcomes, [[1.0, 2.0], [3.0, 4.0]])
+        assert ingest_error(
+            tmp_path, "unit,time,y\na,1,1.0\na,1.0,2.0\n", DuplicateCellError
+        ) == (DuplicateCellError, "repeated cell for unit 'a', time 1.0 (line 3)", 3, None)
+
+    def test_unit_ids_are_stripped_and_quoted_commas_kept(self, tmp_path):
+        text = 'unit,time,y\n" a,b ",1,1.0\nc,1,2.0\na,1,3.0\na,2,4.0\n'
+        assert ingest_error(tmp_path, text, UnbalancedPanelError)[1] == (
+            "missing cells: (a,b, 2), (c, 2)"
+        )
+        data = ingest_text(tmp_path, text + '"a,b",2,5.0\n c ,2,6.0\n')
+        np.testing.assert_array_equal(data.outcomes, [[1.0, 5.0], [2.0, 6.0], [3.0, 4.0]])
+
+    def test_cells_are_read_as_float_reads_them(self, tmp_path):
+        data = ingest_text(tmp_path, "unit,time,y,x1\na,1, 1_000 ,1e-3\na,2,-0.0,2.5\n")
+        np.testing.assert_array_equal(data.outcomes, [[float("1_000"), -0.0]])
+        assert np.signbit(data.outcomes[0, 1])
+        np.testing.assert_array_equal(data.covariates[0, :, 0], [1e-3, 2.5])
+
+    def test_a_file_without_data_rows(self, tmp_path):
+        for text in ("unit,time,y\n", "unit,time,y,x1\n\n,,,\n"):
+            assert ingest_error(tmp_path, text) == (ParseError, "no data rows", None, None)
+
+    def test_missing_cells_list_the_first_five_in_unit_and_period_order(self, tmp_path):
+        rows = ["b,3,1.0", "b,1,1.0", "a,2,1.0", "c,3,1.0", "d,1,1.0", "d,2,1.0"]
+        text = "unit,time,y\n" + "\n".join(rows) + "\n"
+        assert ingest_error(tmp_path, text, UnbalancedPanelError)[1] == (
+            "missing cells: (b, 2), (a, 1), (a, 3), (c, 1), (c, 2), ..."
+        )
+        text = "unit,time,y\nb,1,1.0\nb,2,1.0\na,2,1.0\n"
+        assert ingest_error(tmp_path, text, UnbalancedPanelError)[1] == "missing cells: (a, 1)"
+
+    def test_the_first_problem_in_file_order_wins(self, tmp_path):
+        text = "unit,time,y\na,1,1.0\na,2,bad\nb,1,1.0\nb,2\n"
+        assert ingest_error(tmp_path, text)[1:] == (
+            "invalid numeric value 'bad' (line 3, column y)", 3, "y"
+        )
+        text = "unit,time,y\na,1,1.0\na,2,1.0\na,1,2.0\nb,1,1.0\nb,2,nan\n"
+        assert ingest_error(tmp_path, text, DuplicateCellError)[1:] == (
+            "repeated cell for unit 'a', time 1 (line 4)", 4, None
+        )
+        text = "unit,time,y\na,1,1.0\n,2,1.0\na,1,2.0\n"
+        assert ingest_error(tmp_path, text)[1:] == (
+            "empty unit identifier (line 3, column unit)", 3, "unit"
+        )
+
+
 class TestEstimateCommand:
     def run_estimate(self, tmp_path, data, *flags):
         panel = write_panel(tmp_path / "panel.csv", data)
@@ -423,6 +506,27 @@ class TestSimulateCommand:
         path = Path(self.write_spec(tmp_path))
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert main(["simulate", str(path), "--replications", "1"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["code"], err["exit_status"], err["message"]) == ("value", 2, named)
+
+    @pytest.mark.parametrize("edit,named", [
+        ({"n_units": "abc"}, "process description 'n_units' must be an integer, got 'abc'"),
+        ({"n_units": None}, "process description 'n_units' must be an integer, got None"),
+        ({"n_groups": 2.0}, "process description 'n_groups' must be an integer, got 2.0"),
+        ({"covariate_law": {"kind": "ar1", "rho": "x", "innovation_sd": 1.0}},
+         "covariate_law 'rho' must be a number, got 'x'"),
+        ({"theta_true": {"a": 1}},
+         "process description 'theta_true' must be a number or an array of numbers"),
+        ({"covariate_law": {"kind": "fixed", "values": [[1.0], ["x"]]}},
+         "covariate_law 'values' must be a number or an array of numbers"),
+        ({"dynamic": "false"}, "process description 'dynamic' must be true or false, got 'false'"),
+    ], ids=["string_count", "null_count", "float_count", "string_rho", "object_theta",
+            "string_values", "string_dynamic"])
+    def test_mistyped_spec_value_exits_two_naming_the_key(self, edit, named, tmp_path, capsys):
+        path = self.write_spec(tmp_path, **edit)
+        assert main(["simulate", path, "--replications", "1"]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]

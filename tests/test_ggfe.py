@@ -641,6 +641,31 @@ class TestGgfeDescent:
                 np.argmin(step, axis=1), np.argmin(public, axis=1)
             )
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_step_derivative_matches_a_per_unit_loop(self, p):
+        # entry (i, g) is (r_ig' t_g r_ig + <t_g, S_g>) / N, with r_ig unit
+        # i's residual against group g's effects, t_g the transport map and
+        # S_g the group covariance, each summed here one unit at a time
+        for seed in (1, 2, 3):
+            data, _, _ = heteroskedastic_panel(seed, p=p, n=90)
+            res = ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=seed))
+            theta, alpha, gamma = res.params.theta, res.params.alpha, res.assignment
+            assert gamma.counts().min() > data.n_periods
+            factors = ggfe._criterion_at(data, theta, alpha, gamma)[1]
+            maps = ggfe._covariance_derivatives(factors)[0]
+            covs = group_covariances(data, theta, alpha, gamma)[0]
+            v = data.outcomes - data.covariates @ theta
+            n = data.n_units
+            loop = np.empty((n, 2))
+            for g, (t_g, s_g) in enumerate(zip(maps, covs)):
+                inner = float(np.sum(t_g * s_g.values))
+                for i in range(n):
+                    r = v[i] - alpha[g]
+                    loop[i, g] = (r @ t_g @ r + inner) / n
+            step = ggfe._membership_derivatives(data, theta, alpha, factors)
+            np.testing.assert_allclose(step, loop, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(np.argmin(step, axis=1), np.argmin(loop, axis=1))
+
     def test_rejects_other_modes(self, rng):
         data, _, _ = make_grouped_dataset(rng, n=10, t=3, p=1)
         with pytest.raises(ValueError):
