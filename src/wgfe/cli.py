@@ -72,7 +72,9 @@ def ingest_csv(path) -> PanelDataset:
     ascending.  A bad field count, an empty unit id, a cell that is not a
     finite number and a repeated (unit, time) cell are reported at their
     line; the first such problem in file order is raised.  Only then are
-    missing cells reported, the first five in unit and period order.
+    missing cells reported, the first five in unit and period order.  A
+    row that :mod:`csv` itself rejects, such as one with a field longer
+    than its field size limit, is reported at its line before any of these.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -80,11 +82,16 @@ def ingest_csv(path) -> PanelDataset:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError("empty file, expected a header row", line=1)
+        except csv.Error as exc:
+            raise _malformed(exc, reader) from None
         if len(header) < 3 or header[:3] != ["unit", "time", "y"]:
             raise ParseError(
                 "header must start with unit,time,y", line=1
             )
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise _malformed(exc, reader) from None
     width = len(header)
     kept = [row for row in rows if len(row) == width and row[0].strip()]
     # every row left out must be blank; kept rows never are
@@ -125,6 +132,11 @@ def ingest_csv(path) -> PanelDataset:
     z[slot] = cells[1:].T
     z = z.reshape(len(units), n_periods, width - 2)
     return PanelDataset(z[:, :, 0], z[:, :, 1:])
+
+
+def _malformed(exc, reader):
+    """A ``csv.Error`` as a ``ParseError`` at the line the reader had reached."""
+    return ParseError(f"malformed CSV: {exc}", line=reader.line_num)
 
 
 def _blank(row):

@@ -29,19 +29,18 @@ from .model import (
     _clamped_sigma,
     _group_demeaned,
     _group_gram,
-    _profile_distances,
     _stacked,
     group_ssr,
     residual_profiles,
-    sigma_floor,
 )
 from .solvers import (
     EstimationResult,
     SolverConfig,
     _build_result,
     _Kernel,
+    _pooled_start,
     _repair_empty,
-    initialize,
+    _seeded_start,
 )
 
 EPS_EIG = 1e-10
@@ -454,14 +453,13 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
         raise ValueError(f"ggfe_descent needs mode 'ggfe', got {config.mode!r}")
     if data.n_units < 2 * config.n_groups:
         raise ValueError(f"need at least two units per group, got {data.n_units} units")
-    init = initialize(data, config, np.random.default_rng(config.seed))
-    d2 = _profile_distances(data, init.theta, init.alpha)
+    init, d2 = _seeded_start(config, np.random.default_rng(config.seed), _pooled_start(data))
     gamma = GroupAssignment(
         _repair_empty(np.argmin(d2, axis=1) + 1, d2, min_size=2), config.n_groups
     )
     theta = init.theta
     kernel = _Kernel(data, config)
-    floor = sigma_floor(data)
+    floor = kernel.floor
     best = None
     trace = []
     converged = False

@@ -47,6 +47,9 @@ EPS_RANK = 1e-10
 #: Relative floor for estimated group scales, in units of the outcome std.
 EPS_SIGMA = 1e-8
 
+#: Machine epsilon of float64, the unit of the rounding bound in :func:`_profile_criterion`.
+_EPS = np.finfo(float).eps
+
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
@@ -419,30 +422,58 @@ def gfe_objective(
     return ObjectiveBreakdown(q, gamma.weights(), value)
 
 
-def _profile_distances(
-    data: PanelDataset, theta: np.ndarray, alpha: np.ndarray
-) -> np.ndarray:
-    """Squared distances ||v_i - alpha_g||^2 as an (N, G) matrix."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 2 or alpha.shape[1] != data.n_periods:
-        raise ValueError(f"alpha must be (G, T={data.n_periods}), got {alpha.shape}")
-    v = residual_profiles(data, theta)
-    diff = v[:, None, :] - alpha[None, :, :]
-    return np.einsum("igt,igt->ig", diff, diff)
+def _profile_criterion(v: np.ndarray, alpha: np.ndarray, sigma: np.ndarray = None):
+    """Assignment criterion of profiles ``v`` (N, T) against effect rows ``alpha`` (G, T), as (N, G).
+
+    ``v`` and ``alpha`` are taken net of the same centre, so that an offset
+    common to the data cancels before any square is formed.  The squared
+    distance is expanded,
+
+        d2 = ||v_i||^2 - 2 v_i . alpha_g + ||alpha_g||^2,
+
+    from one (G, T) by (T, N) product and the rows' squared norms, without
+    an (N, G, T) temporary.  Near v_i = alpha_g the expansion's rounding
+    error is at most about 4 (T + 2) eps ||v_i||^2; d2 is taken that much
+    low and clamped at zero, so a profile equal to an effect row is at
+    distance exactly 0, no distance is negative, and every distance is
+    within twice that bound of the exact one.  Equal effect rows give
+    equal columns, so ``np.argmin`` sends a unit tied between them to the
+    lower group index.  Without ``sigma`` the criterion is d2; with it, the
+    scale-aware d2 / sigma_g + sigma_g.  The result is the transpose of a
+    (G, N) array, so that the per-group terms run along N.
+    """
+    ones = np.ones(v.shape[1])
+    low = np.square(v) @ ones
+    low *= 1.0 - 4.0 * (v.shape[1] + 2) * _EPS
+    d2 = (-2.0 * alpha) @ v.T
+    d2 += low
+    # a row sum: BLAS may sum equal rows of a matrix-vector product in
+    # different orders, and equal effect rows must tie
+    d2 += np.square(alpha).sum(axis=1)[:, None]
+    np.maximum(d2, 0.0, out=d2)
+    if sigma is not None:
+        sigma = sigma[:, None]
+        d2 /= sigma
+        d2 += sigma
+    return d2.T
 
 
 def _assignment_criterion(data, theta, alpha, sigma=None):
     """Per-unit, per-group assignment criterion values as an (N, G) matrix.
 
     Without ``sigma`` this is the squared profile distance d2; with it, the
-    scale-aware value d2 / sigma_g + sigma_g.
+    scale-aware value d2 / sigma_g + sigma_g.  The residual profiles and
+    ``alpha`` are taken net of the profiles' period means, and d2 expanded
+    from them (:func:`_profile_criterion`).
     """
-    d2 = _profile_distances(data, theta, alpha)
-    if sigma is None:
-        return d2
-    if sigma.shape != (d2.shape[1],):
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim != 2 or alpha.shape[1] != data.n_periods:
+        raise ValueError(f"alpha must be (G, T={data.n_periods}), got {alpha.shape}")
+    if sigma is not None and sigma.shape != (alpha.shape[0],):
         raise ValueError("sigma must have one entry per group")
-    return d2 / sigma + sigma
+    v = residual_profiles(data, theta)
+    centre = v.mean(axis=0)
+    return _profile_criterion(v - centre, alpha - centre, sigma)
 
 
 def wgfe_assign(
@@ -457,7 +488,12 @@ def wgfe_assign(
     Distances are normalized by the group scale and penalized by it, so a
     high-variance group must fit a unit's profile much better before
     absorbing it.  ``rule`` accepts only ``"alg1"``, the rule of the paper's
-    Algorithm 1.  Ties go to the lowest group index.
+    Algorithm 1.  The distances are expanded from the residual profiles and
+    ``alpha`` net of the profiles' period means
+    (:func:`_assignment_criterion`), so the labels can differ from a direct
+    computation's only where two groups' values agree to rounding.  Ties
+    between equal effect rows with equal scales go to the lowest group
+    index.
     """
     if rule != "alg1":
         raise ValueError(f"unknown assignment rule {rule!r}")
@@ -471,7 +507,10 @@ def wgfe_assign(
 def gfe_assign(
     data: PanelDataset, theta: np.ndarray, alpha: np.ndarray
 ) -> GroupAssignment:
-    """Nearest-profile assignment: each unit to argmin_g ||v_i - alpha_g||^2."""
+    """Nearest-profile assignment: each unit to argmin_g ||v_i - alpha_g||^2.
+
+    Distances and ties as in :func:`wgfe_assign`.
+    """
     d2 = _assignment_criterion(data, theta, alpha)
     return GroupAssignment(np.argmin(d2, axis=1) + 1, d2.shape[1])
 

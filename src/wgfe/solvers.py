@@ -24,13 +24,12 @@ from .model import (
     GroupParameters,
     ObjectiveBreakdown,
     PanelDataset,
-    _assignment_criterion,
     _clamped_sigma,
     _group_gram,
     _group_index,
     _group_q,
     _least_squares,
-    _profile_distances,
+    _profile_criterion,
     _rank_deficient,
     _singular_design,
     _stacked,
@@ -223,9 +222,12 @@ class _Kernel:
     """The parameter update at a fixed grouping, from per-group sufficient statistics.
 
     Built once per search.  Outcomes and covariates are stacked as
-    z = (y, x), of shape (N, T, 1 + p), and centred by their period means.
-    A grouping enters only through its counts n_g, its group means
-    zbar_gt and its within-group cross products
+    z = (y, x), of shape (N, T, 1 + p), and centred by their period means;
+    ``rows`` holds the centred z's N * T rows and, after them, the T rows of
+    the centre, so that one product with (1, -theta) gives the centred
+    residual profiles and their centre (see :func:`_assign`).  A grouping
+    enters only through its counts n_g, its group means zbar_gt and its
+    within-group cross products
 
         M_g = sum_{i in g} sum_t (z_it - zbar_gt) (z_it - zbar_gt)',
 
@@ -263,8 +265,11 @@ class _Kernel:
         self.config = config
         self.n_groups = config.n_groups
         z = _stacked(data)
-        self.centre = z.mean(axis=0)
-        self.z = z - self.centre
+        n, t, a = z.shape
+        centre = z.mean(axis=0)
+        self.rows = np.concatenate([(z - centre).reshape(n * t, a), centre])
+        self.z = self.rows[: n * t].reshape(n, t, a)
+        self.centre = self.rows[n * t :]
         self.floor = sigma_floor(data)
         # mean eigenvalue of the period-demeaned design's Gram matrix, which
         # no grouping's within-group Gram matrix exceeds (zero when p = 0)
@@ -290,18 +295,18 @@ class _Kernel:
         cross = _group_gram(idx, g, self.z, means)
         return counts, means, cross.reshape(g, a * a)
 
-    def move_units(self, stats, labels, new):
+    def move_units(self, stats, labels, new, units):
         """The statistics of ``new``, moved from ``stats``, those of ``labels``.
 
-        Each group loses the units that left it and gains the units that
-        arrived, in one pass, as in the class docstring; ``stats`` is read
-        and never written.  Falls back to ``stats(new)`` when so many units
-        moved that a rebuild costs less (``_MOVE_RATIO``), when a group
-        loses all its members, or when what a group's update subtracts
-        exceeds ``_DOWNDATE_LIMIT`` times what is left (per variable), the
-        test of :meth:`move_stats`.
+        ``units`` holds the indices of the units whose labels differ, in
+        ascending order.  Each group loses the units that left it and gains
+        the units that arrived, in one pass, as in the class docstring;
+        ``stats`` is read and never written.  Falls back to ``stats(new)``
+        when so many units moved that a rebuild costs less
+        (``_MOVE_RATIO``), when a group loses all its members, or when what
+        a group's update subtracts exceeds ``_DOWNDATE_LIMIT`` times what is
+        left (per variable), the test of :meth:`move_stats`.
         """
-        units = np.flatnonzero(labels != new)
         if _MOVE_RATIO * (units.size + _MOVE_OVERHEAD) > labels.shape[0]:
             return self.stats(new)
         g = self.n_groups
@@ -314,7 +319,8 @@ class _Kernel:
         # deviations of the leavers (sides 0..G-1) and of the arrivals (sides
         # G..2G-1) from the mean their group has before the move
         sides = np.concatenate([src, dst + g])
-        dev = self.z[np.concatenate([units, units])] - means[np.concatenate([src, dst])]
+        before = means[np.concatenate([src, dst])].reshape(2, units.size, t, a)
+        dev = (self.z[units] - before).reshape(2 * units.size, t, a)
         members = (sides == np.arange(2 * g)[:, None]).astype(float)
         sums = (members @ dev.reshape(-1, t * a)).reshape(2, g, t, a)
         grams = _group_gram(sides, 2 * g, dev).reshape(2, g, a * a)
@@ -501,11 +507,22 @@ def _frozen(labels):
     return labels
 
 
-def _assign(data, theta, alpha, sigma, config):
-    crit = _assignment_criterion(
-        data, theta, alpha, None if config.mode == "gfe" else sigma
+def _assign(search, theta, alpha, sigma):
+    """The labels the mode's rule gives at ``(theta, alpha, sigma)``, and its (N, G) criterion.
+
+    One product of ``search.rows`` with (1, -theta) gives the residual
+    profiles net of the kernel's centre, and that centre, which comes off
+    ``alpha`` too (:func:`wgfe.model._profile_criterion`).  Ties go to the
+    lowest group index.
+    """
+    n, t, _ = search.z.shape
+    v = search.rows @ np.concatenate(([1.0], -theta))
+    crit = _profile_criterion(
+        v[:-t].reshape(n, t), alpha - v[-t:], None if search.config.mode == "gfe" else sigma
     )
-    return _frozen(np.argmin(crit, axis=1) + 1), crit
+    labels = crit.argmin(axis=1)
+    labels += 1
+    return _frozen(labels), crit
 
 
 def _repair_empty(labels, crit, min_size=1):
@@ -519,7 +536,7 @@ def _repair_empty(labels, crit, min_size=1):
     group is short, else a repaired copy.
     """
     counts = np.bincount(labels - 1, minlength=crit.shape[1])
-    if not np.any(counts < min_size):
+    if counts.min() >= min_size:
         return labels
     labels = labels.copy()
     n = labels.shape[0]
@@ -548,30 +565,40 @@ def initialize(
     nearest-profile assignment those rows induce, with empty groups falling
     back to the pooled residual scale.
     """
-    return _seeded_start(data, config, rng, *_pooled_start(data))
+    return _seeded_start(config, rng, _pooled_start(data))[0]
 
 
 def _pooled_start(data):
-    """The start slopes (see :func:`initialize`) and their residual profiles."""
+    """What every seeded start of a search shares, as ``(theta, v, centred, floor)``.
+
+    The start slopes (see :func:`initialize`), their residual profiles, the
+    profiles net of their period means, and the scale floor.
+    """
     theta = _initial_theta(data)
-    return theta, residual_profiles(data, theta)
+    v = residual_profiles(data, theta)
+    return theta, v, v - v.mean(axis=0), sigma_floor(data)
 
 
-def _seeded_start(data, config, rng, theta, v):
-    """:func:`initialize` from the start slopes ``theta`` and their profiles ``v``."""
-    n, g = data.n_units, config.n_groups
+def _seeded_start(config, rng, start):
+    """:func:`initialize` from its pooled start (:func:`_pooled_start`).
+
+    Returns the start and the (N, G) squared profile distances to its
+    effect rows.
+    """
+    theta, v, centred, floor = start
+    n, g = v.shape[0], config.n_groups
     if n < g:
         raise ValueError(f"need at least {g} units to seed {g} groups")
     rows = rng.choice(n, size=g, replace=False)
     alpha = v[rows].copy()
-    d2 = _profile_distances(data, theta, alpha)
-    idx = np.argmin(d2, axis=1)
+    d2 = _profile_criterion(centred, centred[rows])
+    idx = d2.argmin(axis=1)
     counts = np.bincount(idx, minlength=g)
     resid = v - alpha[idx]
     with np.errstate(invalid="ignore", divide="ignore"):
         q = _group_q(resid, idx, counts)
     q = np.where(counts > 0, q, np.mean(resid * resid))
-    return GroupParameters(theta, alpha, _clamped_sigma(q, sigma_floor(data)), counts / n)
+    return GroupParameters(theta, alpha, _clamped_sigma(q, floor), counts / n), d2
 
 
 def _initial_theta(data):
@@ -598,10 +625,14 @@ def lloyd(
     per-group statistics; after the first grouping these are moved
     from the previous grouping's by the units that changed group, unless
     so many moved that a rebuild from all units is cheaper or the move
-    would lose precision (see ``_Kernel.move_units``).  This is the descent
-    of :func:`vns` (:func:`_descent`) with its own partition cache, driven
-    alone: a grouping the descent revisits keeps its first fit.  Only modes
-    "wgfe" and "gfe" are searched; any other raises ``ValueError``.
+    would lose precision (see ``_Kernel.move_units``).  Each assignment
+    takes the residual profiles from the search's centred data and expands
+    the squared distances from them (:func:`_assign`), so its labels can
+    differ from a direct computation's only where two groups' criterion
+    values agree to rounding.  This is the descent of :func:`vns`
+    (:func:`_descent`) with its own partition cache, driven alone: a
+    grouping the descent revisits keeps its first fit.  Only modes "wgfe"
+    and "gfe" are searched; any other raises ``ValueError``.
 
     The returned state is self-consistent: parameters are the update at the
     returned assignment, and the assignment reproduces itself under the rule
@@ -621,7 +652,7 @@ def lloyd(
     """
     search = _Search(data, config)
     start = (init.theta, init.alpha, init.sigma)
-    state, labels, trace, n_iters, converged = _run(search, _descent(data, search, start))
+    state, labels, trace, n_iters, converged = _run(search, _descent(search, start))
     return _build_result(config, state, labels, n_iters, converged, trace)
 
 
@@ -693,50 +724,54 @@ def _run(kernel, run):
     return out
 
 
-def _descent(data, search, start):
+def _descent(search, start):
     """One Lloyd descent from ``start``, as in :func:`lloyd`, as a search generator.
 
     ``start`` is ``(theta, alpha, sigma)``, and ``search`` a ``_Search``
     whose partition cache the descent reads and writes.  Each round looks
     its grouping up in ``search.states``, or requests its fit (one row,
     seeded at the last fit's slopes; see :func:`_drive`) and caches it;
-    then assigns and repairs.  Returns ``(state, labels, trace, n_iters,
-    converged)``; a failed fit, assignment or repair raises.
+    then assigns (:func:`_assign`, from the kernel's centred data) and
+    repairs.  Returns ``(state, labels, trace, n_iters, converged)``; a
+    failed fit, assignment or repair raises.
 
-    The descent keeps the statistics of the last grouping it fitted, and
-    the key of its current grouping.  Its first grouping is fitted from
-    ``search.stats``; each later one from the kept statistics, moved by the
-    units that changed group since (``search.move_units``), and its key
-    from the previous key, changed by the codes of the units that moved
-    (``search.key_after``).  Neither is rebuilt from all N units unless
-    the move falls back to ``search.stats``.
+    The descent keeps the labels, key and statistics of the last grouping
+    it fitted (of its first grouping, without statistics, until a fit).
+    Each round finds the units whose labels differ from those once, and
+    moves both from them: the key of its grouping (``search.key_after``)
+    and, when the grouping is fitted, the statistics
+    (``search.move_units``).  The first grouping fitted takes its
+    statistics from ``search.stats``, and neither is rebuilt from all N
+    units unless the move falls back to ``search.stats``.
     """
     config = search.config
     theta, alpha, sigma = start
-    labels = _repair_empty(*_assign(data, theta, alpha, sigma, config))
+    labels = _repair_empty(*_assign(search, theta, alpha, sigma))
     seed = theta
     key = search.key(labels)
-    # the (labels, stats) of the last grouping fitted
-    fitted = None
+    # the labels, key and statistics of the last grouping fitted, or of the
+    # first grouping, without statistics, until a fit
+    base = labels, key, None
     trace = []
     for it in range(config.max_lloyd_iters):
         state = search.states.get(key)
         if state is None:
-            if fitted is None:
+            if base[2] is None:
                 stats = search.stats(labels)
             else:
-                stats = search.move_units(fitted[1], fitted[0], labels)
-            fitted = labels, stats
+                stats = search.move_units(base[2], base[0], labels, units)
+            base = labels, key, stats
             (state,) = yield _request([stats], [seed])
             if isinstance(state, Exception):
                 raise state
             search.states[key] = state
         trace.append(state[4])
-        labels_next = _repair_empty(*_assign(data, *state[:3], config))
+        labels_next = _repair_empty(*_assign(search, *state[:3]))
         converged = np.array_equal(labels_next, labels)
         if converged or it == config.max_lloyd_iters - 1:
             return state, labels, _last_descent(trace), it + 1, converged
-        key = search.key_after(key, labels, labels_next)
+        units = np.flatnonzero(base[0] != labels_next)
+        key = search.key_after(base[1], base[0], labels_next, units)
         labels, seed = labels_next, state[0]
 
 
@@ -832,9 +867,8 @@ class _Search(_Kernel):
         hi, lo = np.bitwise_xor.reduce(self.codes[:, units, labels - 1], axis=1).tolist()
         return hi << 64 | lo
 
-    def key_after(self, key, labels, new):
-        """The key of ``new``, from ``key``, that of ``labels``, by the units that moved."""
-        units = np.flatnonzero(labels != new)
+    def key_after(self, key, labels, new, units):
+        """The key of ``new``, from ``key``, that of ``labels``, by the ``units`` whose labels differ."""
         change = self.codes[:, units, labels[units] - 1] ^ self.codes[:, units, new[units] - 1]
         hi, lo = np.bitwise_xor.reduce(change, axis=1).tolist()
         return key ^ (hi << 64 | lo)
@@ -990,10 +1024,10 @@ def vns(
     search = _Search(data, config)
     init = initialize(data, config, rng)
     start = (init.theta, init.alpha, init.sigma)
-    return _run(search, _vns_run(data, search, rng, start))
+    return _run(search, _vns_run(search, rng, start))
 
 
-def _vns_run(data, search, rng, start):
+def _vns_run(search, rng, start):
     """One :func:`vns` run from ``start``, ``(theta, alpha, sigma)``, as a search generator.
 
     ``search`` holds the run's partition cache and ``rng`` its random
@@ -1001,7 +1035,7 @@ def _vns_run(data, search, rng, start):
     that ends the run raises.
     """
     config = search.config
-    best_state, best_labels, _, total_iters, converged = yield from _descent(data, search, start)
+    best_state, best_labels, _, total_iters, converged = yield from _descent(search, start)
     polished = {}
     best_obj = best_state[4]
     improvements = [best_obj]
@@ -1030,7 +1064,7 @@ def _vns_run(data, search, rng, start):
                     if isinstance(fits[n], Exception):
                         raise fits[n]
                     state_j = search.states[keys[n - 1]] = fits[n]
-                state_c, labels_c, _, iters_d, conv_d = yield from _descent(data, search, state_j[:3])
+                state_c, labels_c, _, iters_d, conv_d = yield from _descent(search, state_j[:3])
                 total_iters += iters_d
                 labels_c, state_c = yield from _polish(labels_c, state_c, search, polished)
             except NonConvergenceError:
@@ -1099,6 +1133,6 @@ def _restart_outcomes(data, config):
     runs = []
     for stream in streams:
         rng = np.random.default_rng(stream)
-        init = _seeded_start(data, config, rng, *start)
-        runs.append(_vns_run(data, kernel.restart(), rng, (init.theta, init.alpha, init.sigma)))
+        init = _seeded_start(config, rng, start)[0]
+        runs.append(_vns_run(kernel.restart(), rng, (init.theta, init.alpha, init.sigma)))
     return _drive(kernel, runs)

@@ -123,6 +123,21 @@ class TestIngestCsv:
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["code"], err["line"], err["column"]) == ("parse", 4, "x1")
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_size_limit_exits_two_with_its_line(self, tmp_path, capsys, line):
+        # csv's default field size limit is 131,072 characters
+        lines = ["unit,time,y", "a,1,1.0", "a,2,2.0", "b,1,3.0", "b,2,4.0"]
+        lines[line - 1] += "1" * 200_000
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["estimate", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        (err_line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(err_line)["error"]
+        assert (err["code"], err["line"]) == ("parse", line)
+        assert "field larger than field limit" in err["message"]
+
     def test_byte_order_mark_gives_the_plain_files_json(self, tmp_path):
         data, _ = clustered_fixture(noise_scale=0.3)
         plain = write_panel(tmp_path / "plain.csv", data)

@@ -17,8 +17,10 @@ from wgfe.model import (
     GroupParameters,
     ObjectiveBreakdown,
     PanelDataset,
+    _assignment_criterion,
     _group_gram,
     _group_sums,
+    _profile_criterion,
     gfe_assign,
     gfe_objective,
     group_ssr,
@@ -27,7 +29,9 @@ from wgfe.model import (
     wgfe_objective,
 )
 
-from conftest import make_dataset, random_assignment
+from wgfe.solvers import SolverConfig, _assign, _Search
+
+from conftest import make_dataset, make_grouped_dataset, random_assignment
 from reference import gfe_update, update_alpha, within_group_means
 
 
@@ -448,6 +452,79 @@ class TestAssignments:
         sigma = np.array([1.0, 1.0])
         assert wgfe_assign(data, np.zeros(0), alpha, sigma).labels.tolist() == [1, 1]
         assert gfe_assign(data, np.zeros(0), alpha).labels.tolist() == [1, 1]
+
+    @pytest.mark.parametrize(
+        "shift_y, shift_x, scale",
+        [(0.0, 0.0, 1.0), (1e4, 0.0, 1.0), (0.0, 1e4, 1.0), (0.0, 0.0, 1e4), (0.0, 0.0, 1e-4)],
+    )
+    def test_expanded_distances_match_loop_oracles_when_shifted_or_rescaled(
+        self, shift_y, shift_x, scale
+    ):
+        # effect rows near the profiles, so that groups compete for units;
+        # the public rules centre the profiles by their own period means,
+        # the searches' rule takes them from the kernel's centred data
+        for seed in range(3):
+            r = np.random.default_rng(40 + seed)
+            base, _, _ = make_grouped_dataset(r, n=300, t=6, p=2, g=3, sigma=[0.2, 0.5, 1.0])
+            theta = np.ones(2) + 0.1 * r.standard_normal(2)
+            alpha = residual_profiles(base, theta)[r.choice(300, 3, replace=False)]
+            alpha += 0.3 * r.standard_normal((3, 6))
+            sigma = r.uniform(0.3, 1.5, 3)
+            data = PanelDataset(
+                scale * (base.outcomes + shift_y), scale * (base.covariates + shift_x)
+            )
+            alpha = scale * (alpha + shift_y - shift_x * theta.sum())
+            sigma = scale * sigma
+            want_w = oracle_assign_wgfe(data, theta, alpha, sigma)
+            want_g = oracle_assign_gfe(data, theta, alpha)
+            np.testing.assert_array_equal(wgfe_assign(data, theta, alpha, sigma).labels, want_w)
+            np.testing.assert_array_equal(gfe_assign(data, theta, alpha).labels, want_g)
+            for mode, want in (("wgfe", want_w), ("gfe", want_g)):
+                search = _Search(data, SolverConfig(mode=mode, n_groups=3))
+                labels, _ = _assign(search, theta, alpha, sigma)
+                np.testing.assert_array_equal(labels, want)
+
+    def test_identical_effect_rows_go_to_the_lowest_group(self, rng):
+        # the first and last groups share an effect row, unit 0's profile,
+        # and a scale: unit 0 and every unit that prefers that row land in
+        # group 1
+        shapes = [(7, 2, 3), (90, 7, 3), (2000, 7, 3), (500, 16, 3), (90, 16, 4), (300, 9, 5)]
+        for n, t, g in shapes * 10:
+            data = make_dataset(rng, n=n, t=t, p=1)
+            theta = rng.standard_normal(1)
+            alpha = rng.standard_normal((g, t))
+            alpha[0] = alpha[-1] = residual_profiles(data, theta)[0]
+            sigma = rng.uniform(0.5, 1.0, g)
+            sigma[-1] = sigma[0]
+            for labels in (
+                wgfe_assign(data, theta, alpha, sigma).labels,
+                gfe_assign(data, theta, alpha).labels,
+                _assign(_Search(data, SolverConfig(n_groups=g)), theta, alpha, sigma)[0],
+            ):
+                assert labels[0] == 1 and np.any(labels == 1) and g not in labels
+
+    def test_a_profile_equal_to_an_effect_row_is_at_distance_zero(self, rng):
+        # the expansion's rounding near a zero distance reads exactly 0, and
+        # no distance is negative, at any scale or offset of the data
+        for shift, scale in [(0.0, 1.0), (1e4, 1.0), (0.0, 1e-4), (-3e3, 1e5)]:
+            for n, t, g in [(5, 1, 2), (90, 7, 2), (400, 16, 5)]:
+                data = PanelDataset(
+                    scale * (rng.standard_normal((n, t)) + shift),
+                    scale * rng.standard_normal((n, t, 2)),
+                )
+                theta = rng.standard_normal(2)
+                rows = rng.choice(n, size=g, replace=False)
+                v = residual_profiles(data, theta)
+                for d2 in (
+                    _assignment_criterion(data, theta, v[rows]),
+                    _profile_criterion(v - v.mean(axis=0), (v - v.mean(axis=0))[rows]),
+                    _assign(_Search(data, SolverConfig(mode="gfe", n_groups=g)), theta, v[rows], None)[1],
+                ):
+                    assert np.all(d2 >= 0.0)
+                    np.testing.assert_array_equal(d2[rows, np.arange(g)], 0.0)
+                    # and elsewhere the expansion agrees with the direct distances
+                    direct = ((v[:, None, :] - v[rows][None]) ** 2).sum(axis=2)
+                    np.testing.assert_allclose(d2, direct, rtol=1e-9, atol=1e-12 * direct.max())
 
     def test_scale_aware_prefers_noisy_group_for_far_profiles(self):
         # with equal alpha, profiles with large residual norm go to the

@@ -353,7 +353,7 @@ def moved_stats(kernel, stats, labels, new):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_MOVE_RATIO", 0)
-            out = kernel.move_units(stats, labels, new)
+            out = kernel.move_units(stats, labels, new, np.flatnonzero(labels != new))
     finally:
         del kernel.stats
     return out, bool(rebuilt)
@@ -489,7 +489,8 @@ class TestMoveUnits:
         labels = r.integers(1, g + 1, size=n)
         for _ in range(3):
             new = random_move(r, labels, g, int(share * n)) if g > 1 else labels.copy()
-            assert search.key_after(search.key(labels), labels, new) == search.key(new)
+            units = np.flatnonzero(labels != new)
+            assert search.key_after(search.key(labels), labels, new, units) == search.key(new)
             labels = new
 
 
@@ -590,7 +591,7 @@ def sequential_lloyd(data, cfg, theta, alpha, sigma, search):
     ``_Kernel.move_units``, or from ``_Kernel.stats`` for the first one,
     and cached.
     """
-    labels = solvers._repair_empty(*solvers._assign(data, theta, alpha, sigma, cfg))
+    labels = solvers._repair_empty(*solvers._assign(search, theta, alpha, sigma))
     trace, state, converged, n_iters, fitted = [], None, False, 0, None
     for it in range(cfg.max_lloyd_iters):
         n_iters = it + 1
@@ -599,7 +600,8 @@ def sequential_lloyd(data, cfg, theta, alpha, sigma, search):
             if fitted is None:
                 stats = search.stats(labels)
             else:
-                stats = search.move_units(fitted[1], fitted[0], labels)
+                units = np.flatnonzero(fitted[0] != labels)
+                stats = search.move_units(fitted[1], fitted[0], labels, units)
             fitted = labels, stats
             seed = state[0] if state is not None else theta
             out = search._solve(*solvers._request([stats], [seed]))[0]
@@ -608,7 +610,7 @@ def sequential_lloyd(data, cfg, theta, alpha, sigma, search):
             search.states[key] = out
         state = search.states[key]
         trace.append(state[4])
-        labels_next = solvers._repair_empty(*solvers._assign(data, *state[:3], cfg))
+        labels_next = solvers._repair_empty(*solvers._assign(search, *state[:3]))
         if np.array_equal(labels_next, labels):
             converged = True
             break
@@ -874,7 +876,7 @@ class TestLloyd:
     def test_termination_is_rule_stable(self, mode, rng):
         # no unit prefers another group under the mode's rule at the
         # returned parameters
-        from wgfe.solvers import _assign
+        from wgfe.solvers import _assign, _Search
 
         for seed in range(10):
             r = np.random.default_rng(100 + seed)
@@ -883,7 +885,7 @@ class TestLloyd:
             res = lloyd(data, cfg, initialize(data, cfg, r))
             assert res.converged
             replay, _ = _assign(
-                data, res.params.theta, res.params.alpha, res.params.sigma, cfg
+                _Search(data, cfg), res.params.theta, res.params.alpha, res.params.sigma
             )
             np.testing.assert_array_equal(replay, res.assignment.labels)
 
@@ -1346,7 +1348,7 @@ class TestMultiStart:
         # only package and linear-algebra failures count as failed restarts
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
 
-        def broken_run(data, search, rng, start):
+        def broken_run(search, rng, start):
             yield from ()
             raise TypeError("bug in the search")
 
@@ -1369,7 +1371,7 @@ class TestMultiStart:
         data, _, _ = make_grouped_dataset(rng, n=12, t=3, p=1, g=2)
         errors = iter([SingularDesignError("rank deficient"), EmptyGroupError([2])])
 
-        def failing_run(data, search, rng, start):
+        def failing_run(search, rng, start):
             yield from ()
             raise next(errors)
 
