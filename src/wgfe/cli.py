@@ -16,7 +16,7 @@ Subcommands
     Fit the weighted estimator and emit the common-scale diagnostic.
 
 All randomness flows from the single ``--seed`` flag.  Exit codes: 0 on
-success, 2 for input problems, 3 for numeric or solver failures.
+success, 2 for bad input or flags, 3 for numeric or solver failures.
 """
 
 import argparse
@@ -445,6 +445,18 @@ def cmd_test_homoskedasticity(args) -> int:
     return EXIT_OK
 
 
+class UsageError(ValueError):
+    """A command line the parser rejects, such as an unknown flag or a bad value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors exit 2 with one JSON line (code ``usage``)."""
+
+    def error(self, message):
+        _emit_error(UsageError(message), EXIT_INPUT)
+        self.exit(EXIT_INPUT)
+
+
 def _add_solver_flags(sub, with_mode=True):
     if with_mode:
         sub.add_argument(
@@ -483,7 +495,7 @@ def _add_common_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgfe",
         description="Grouped panel estimation with per-group error scales.",
     )
@@ -537,6 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: expected a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError, IsADirectoryError,

@@ -75,8 +75,8 @@ class SolverConfig:
         Setting both such that no jump runs (``vns_neigh_max=0``) reduces
         :func:`vns` to a single Lloyd run.
     seed : int
-        Root seed; restart k draws from substream k regardless of execution
-        order.
+        Non-negative root seed; restart k draws from substream k regardless
+        of execution order.
     assignment_rule : {"alg1"}
         The scale-aware assignment rule of the paper's Algorithm 1.
     n_threads : int
@@ -111,6 +111,8 @@ class SolverConfig:
             raise ValueError("fp_max_iters must be at least 1")
         if self.vns_iter_max < 0 or self.vns_neigh_max < 0:
             raise ValueError("vns budgets must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.assignment_rule != "alg1":
             raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
         if self.n_threads < 1:
@@ -651,8 +653,8 @@ def lloyd(
     non-increasing by construction; ``n_lloyd_iters`` counts every round.
     """
     search = _Search(data, config)
-    start = (init.theta, init.alpha, init.sigma)
-    state, labels, trace, n_iters, converged = _run(search, _descent(search, start))
+    first = _first_grouping(search, init.theta, init.alpha, init.sigma)
+    state, labels, trace, n_iters, converged = _run(search, _descent(search, first))
     return _build_result(config, state, labels, n_iters, converged, trace)
 
 
@@ -724,16 +726,25 @@ def _run(kernel, run):
     return out
 
 
-def _descent(search, start):
-    """One Lloyd descent from ``start``, as in :func:`lloyd`, as a search generator.
+def _first_grouping(search, theta, alpha, sigma):
+    """The first grouping of a descent from ``(theta, alpha, sigma)``, as ``(labels, key, seed)``.
 
-    ``start`` is ``(theta, alpha, sigma)``, and ``search`` a ``_Search``
-    whose partition cache the descent reads and writes.  Each round looks
-    its grouping up in ``search.states``, or requests its fit (one row,
-    seeded at the last fit's slopes; see :func:`_drive`) and caches it;
-    then assigns (:func:`_assign`, from the kernel's centred data) and
-    repairs.  Returns ``(state, labels, trace, n_iters, converged)``; a
-    failed fit, assignment or repair raises.
+    The labels are :func:`_assign`'s, repaired; their fit is seeded at ``theta``.
+    """
+    labels = _repair_empty(*_assign(search, theta, alpha, sigma))
+    return labels, search.key(labels), theta
+
+
+def _descent(search, first):
+    """One Lloyd descent from ``first``, as in :func:`lloyd`, as a search generator.
+
+    ``first`` is ``(labels, key, seed)`` from :func:`_first_grouping`, and
+    ``search`` a ``_Search`` whose partition cache the descent reads and
+    writes.  Each round looks its grouping up in ``search.states``, or
+    requests its fit (one row, seeded at ``seed``, then at the last round's
+    slopes; see :func:`_drive`) and caches it; then assigns (:func:`_assign`,
+    from the kernel's centred data) and repairs.  Returns ``(state, labels,
+    trace, n_iters, converged)``; a failed fit, assignment or repair raises.
 
     The descent keeps the labels, key and statistics of the last grouping
     it fitted (of its first grouping, without statistics, until a fit).
@@ -745,10 +756,7 @@ def _descent(search, start):
     units unless the move falls back to ``search.stats``.
     """
     config = search.config
-    theta, alpha, sigma = start
-    labels = _repair_empty(*_assign(search, theta, alpha, sigma))
-    seed = theta
-    key = search.key(labels)
+    labels, key, seed = first
     # the labels, key and statistics of the last grouping fitted, or of the
     # first grouping, without statistics, until a fit
     base = labels, key, None
@@ -811,9 +819,7 @@ def _jump(labels, g, n_moves, rng):
     labels = labels.copy()
     n = labels.shape[0]
     movers = rng.choice(n, size=min(n_moves, n), replace=False)
-    for i in movers:
-        offset = rng.integers(1, g)
-        labels[i] = (labels[i] - 1 + offset) % g + 1
+    labels[movers] = (labels[movers] - 1 + rng.integers(1, g, size=movers.size)) % g + 1
     counts = np.bincount(labels - 1, minlength=g)
     for gg in np.nonzero(counts == 0)[0] + 1:
         donors = np.nonzero(counts[labels - 1] > 1)[0]
@@ -834,8 +840,8 @@ class _Search(_Kernel):
     or by :func:`_vns_run` for a jump of a sweep's request once the search
     reaches it; jump fits that the search never reaches are not kept.  Each
     writer first looks the key up and uses a stored state verbatim, so a
-    key's state never changes once stored; ``_polish`` relies on that.
-    Failed fits are never stored.
+    key's state never changes once stored; the memo of :func:`vns` relies
+    on that.  Failed fits are never stored.
 
     Labelings are keyed by a 128-bit Zobrist hash: two independent random
     64-bit codes per (unit, group), XORed over the units.  A single move
@@ -903,7 +909,7 @@ def _local_search(labels, state, search):
     or a linear-algebra error, raises when the scan reaches its move.
 
     Returns ``(labels, state, clean)``, where ``clean`` says that the scan
-    skipped no move.
+    skipped no move, so that :func:`vns` may remember the outcome.
     """
     obj = state[4]
     key = search.key(labels)
@@ -953,32 +959,6 @@ def _local_search(labels, state, search):
     return labels, state, clean
 
 
-def _polish(labels, state, search, polished):
-    """:func:`_local_search` from a descent's end, remembered in ``polished``; a search generator.
-
-    ``polished`` maps the key of a grouping to the ``(labels, state)`` that
-    a local search returned from it: every search's result, and the start
-    of every clean one.  A grouping found there is not scanned again.
-
-    This is exact because ``search.states`` is written once per key: a
-    descent ends on the cached state of its grouping, and a clean search
-    rerun from the same grouping reads the same cached values in the same
-    order, so it takes the same path.  A search that skipped a stalled move
-    is not remembered by its start, since a later fit from another seed may
-    cache an improving state for that move.  A result's own entry replaces
-    any start entry for it: a descent that lands on an earlier result keeps
-    it, as :func:`vns` always has.
-    """
-    start = search.key(labels)
-    if start in polished:
-        return polished[start]
-    labels, state, clean = yield from _local_search(labels, state, search)
-    if clean:
-        polished.setdefault(start, (labels, state))
-    polished[search.key(labels)] = labels, state
-    return labels, state
-
-
 def vns(
     data: PanelDataset, config: SolverConfig, rng: np.random.Generator
 ) -> EstimationResult:
@@ -1014,29 +994,28 @@ def vns(
     generator's state afterwards, is that of drawing and fitting one jump
     at a time.
 
-    Fits are cached per labeling for the whole run (see ``_Search``), and
-    local searches are remembered by grouping (see ``_polish``).  A Lloyd
-    descent that lands on a grouping an earlier local search of this run
-    returned, or started from and skipped no move, takes that search's
-    result without rescanning: a rescan would read the same cached
-    neighbours in the same order and reach the same result.
+    Fits are cached per labeling for the whole run (see ``_Search``).  A
+    jump's descent and local search are remembered by the key of the
+    descent's first grouping (:func:`_first_grouping`), unless the search
+    skipped a stalled move (a later fit may cache an improving state for
+    it); a later jump from there reuses them, as a rerun would read the
+    same cached states in the same order and return the same result.
     """
     search = _Search(data, config)
-    init = initialize(data, config, rng)
-    start = (init.theta, init.alpha, init.sigma)
-    return _run(search, _vns_run(search, rng, start))
+    return _run(search, _vns_run(search, rng, initialize(data, config, rng)))
 
 
-def _vns_run(search, rng, start):
-    """One :func:`vns` run from ``start``, ``(theta, alpha, sigma)``, as a search generator.
+def _vns_run(search, rng, init):
+    """One :func:`vns` run from the start parameters ``init``, as a search generator.
 
     ``search`` holds the run's partition cache and ``rng`` its random
     stream.  Returns the run's result; the package or linear-algebra error
     that ends the run raises.
     """
     config = search.config
-    best_state, best_labels, _, total_iters, converged = yield from _descent(search, start)
-    polished = {}
+    first = _first_grouping(search, init.theta, init.alpha, init.sigma)
+    best_state, best_labels, _, total_iters, converged = yield from _descent(search, first)
+    memo = {}
     best_obj = best_state[4]
     improvements = [best_obj]
     g = config.n_groups
@@ -1064,9 +1043,16 @@ def _vns_run(search, rng, start):
                     if isinstance(fits[n], Exception):
                         raise fits[n]
                     state_j = search.states[keys[n - 1]] = fits[n]
-                state_c, labels_c, _, iters_d, conv_d = yield from _descent(search, state_j[:3])
+                first = _first_grouping(search, *state_j[:3])
+                outcome = memo.get(first[1])
+                if outcome is None:
+                    state_c, labels_c, _, iters_d, conv_d = yield from _descent(search, first)
+                    labels_c, state_c, clean = yield from _local_search(labels_c, state_c, search)
+                    outcome = labels_c, state_c, iters_d, conv_d
+                    if clean:
+                        memo[first[1]] = outcome
+                labels_c, state_c, iters_d, conv_d = outcome
                 total_iters += iters_d
-                labels_c, state_c = yield from _polish(labels_c, state_c, search, polished)
             except NonConvergenceError:
                 n += 1
                 continue
@@ -1133,6 +1119,5 @@ def _restart_outcomes(data, config):
     runs = []
     for stream in streams:
         rng = np.random.default_rng(stream)
-        init = _seeded_start(config, rng, start)[0]
-        runs.append(_vns_run(kernel.restart(), rng, (init.theta, init.alpha, init.sigma)))
+        runs.append(_vns_run(kernel.restart(), rng, _seeded_start(config, rng, start)[0]))
     return _drive(kernel, runs)

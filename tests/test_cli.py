@@ -686,6 +686,41 @@ class TestOutputHygiene:
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["estimate", "{panel}", "--seed", "-1"], "--seed"),
+            (["estimate", "{panel}", "--mode", "ggfe", "--seed", "-1"], "--seed"),
+            (["select-g", "{panel}", "--gmax", "2", "--seed", "-5"], "--seed"),
+            (["test-homoskedasticity", "{panel}", "--seed", "-1"], "--seed"),
+            (["simulate", "{spec}", "--seed", "-1"], "--seed"),
+            (["estimate", "{panel}", "--restarts", "abc"], "--restarts"),
+            (["simulate", "{spec}", "--replications", "1.5"], "--replications"),
+            (["select-g", "{panel}", "--restarts", "2"], "--gmax"),
+        ],
+    )
+    def test_a_bad_flag_exits_two_with_one_json_line(self, argv, flag, tmp_path, capsys):
+        # the flags are checked before any input is read: these inputs do
+        # not exist, and the error is the flag's
+        out = tmp_path / "out.json"
+        paths = {"{panel}": str(tmp_path / "panel.csv"), "{spec}": str(tmp_path / "spec.json")}
+        with pytest.raises(SystemExit) as info:
+            main([paths.get(a, a) for a in argv] + ["--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)["error"]
+        assert err["code"] == "usage" and err["exit_status"] == 2
+        assert flag in err["message"]
+
+    def test_help_still_prints_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wgfe estimate")
+
     def test_every_command_records_one_thread(self, tmp_path):
         data, _ = clustered_fixture(noise_scale=0.3)
         panel = write_panel(tmp_path / "panel.csv", data)

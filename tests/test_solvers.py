@@ -83,6 +83,7 @@ class TestSolverConfig:
             {"fp_max_iters": 0},
             {"n_threads": 0},
             {"vns_neigh_max": -1},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -724,15 +725,18 @@ class TestLocalSearch:
         assert stalled > 0  # some candidate fits hit the iteration cap
 
     @pytest.mark.parametrize("seed", [14, 37, 101])
-    def test_a_search_that_skipped_a_stall_is_rescanned(self, seed):
-        # the first move the scan reaches stalls and is skipped; once an
-        # improving state for it is cached, a new search from the same start
-        # takes that move, so only a search that skipped nothing may be
-        # remembered by its start
+    def test_a_search_that_skipped_a_stall_is_rescanned(self, seed, monkeypatch):
+        # every jump of a vns run descends from one first grouping, and the
+        # first move its local search reaches stalls and is skipped; once an
+        # improving state for that move is cached, the next jump from the
+        # same first grouping rescans and takes the move, so only a jump
+        # outcome whose search skipped nothing may be remembered
         r = np.random.default_rng(seed)
         g, n = int(r.integers(2, 4)), int(r.integers(10, 30))
         data, _, _ = make_grouped_dataset(r, n=n, t=4, p=1, g=g, sigma=np.linspace(0.3, 1.5, g))
-        cfg = SolverConfig(n_groups=g, fp_max_iters=2)
+        cfg = SolverConfig(
+            n_groups=g, fp_max_iters=2, max_lloyd_iters=1, vns_iter_max=1, vns_neigh_max=2
+        )
         settled = _Kernel(data, replace(cfg, fp_max_iters=500))
         labels = random_assignment(r, n, g).labels
         labels.setflags(write=False)
@@ -752,19 +756,37 @@ class TestLocalSearch:
         assert isinstance(outs[reached], NonConvergenceError)
         moved = labels.copy()
         moved[units[reached]] = targets[reached]
-
-        polished = {}
-        first_labels, _ = solvers._run(search, solvers._polish(labels, state, search, polished))
-        assert not np.array_equal(first_labels, labels)
         improving = settled.fit(moved, state[0])
         assert improving[4] < obj - 1e-12 * (1.0 + abs(obj))
-        search.states[search.key(moved)] = improving
-        fresh = search.restart()
-        fresh.states = dict(search.states)
-        ref_labels, ref_state, _ = solvers._run(fresh, solvers._local_search(labels, state, fresh))
-        got_labels, got_state = solvers._run(
-            search, solvers._polish(labels, state, search, polished)
-        )
+
+        # each jump returns the incumbent, and each descent starts from
+        # ``labels`` and, with one round, ends there on its cached state
+        first = (labels, search.key(labels), state[0])
+        monkeypatch.setattr(solvers, "_jump", lambda best, *args: best)
+        monkeypatch.setattr(solvers, "_first_grouping", lambda *args: first)
+        local_search = solvers._local_search
+        scans, refs = [], []
+
+        def scan(start, start_state, s):
+            assert np.array_equal(start, labels) and start_state is state
+            if scans:
+                fresh = s.restart()
+                fresh.states = dict(s.states)
+                refs.append(solvers._run(fresh, local_search(start, start_state, fresh)))
+            out = yield from local_search(start, start_state, s)
+            if not scans:
+                assert s.key(moved) not in s.states
+                s.states[s.key(moved)] = improving
+            scans.append(out)
+            return out
+
+        monkeypatch.setattr(solvers, "_local_search", scan)
+        init = initialize(data, cfg, np.random.default_rng(seed))
+        solvers._run(search, solvers._vns_run(search, np.random.default_rng(seed), init))
+        assert len(scans) >= 2
+        first_labels, _, first_clean = scans[0]
+        assert not first_clean and not np.array_equal(first_labels, labels)
+        (ref_labels, ref_state, _), (got_labels, got_state, _) = refs[0], scans[1]
         np.testing.assert_array_equal(got_labels, ref_labels)
         assert got_state[4] == ref_state[4]
         assert not np.array_equal(got_labels, first_labels)
@@ -1098,6 +1120,91 @@ class TestVns:
         assert 0 < scans["got"] < scans["ref"]
         assert moved.count(0) > 0
 
+    def test_memo_of_jump_outcomes_changes_no_answer(self, monkeypatch):
+        # vns with its memo of jump outcomes equals, bit for bit, vns whose
+        # memo never stores (every local search reports a skipped stall, so
+        # no outcome is remembered); the memo skips descents on every panel
+        # (seed, N, G, p, mode)
+        panels = [
+            (901, 40, 2, 1, "wgfe"),
+            (902, 40, 2, 2, "gfe"),
+            (903, 45, 3, 1, "gfe"),
+            (904, 45, 3, 2, "wgfe"),
+            (905, 36, 2, 2, "wgfe"),
+            (906, 36, 3, 1, "wgfe"),
+            (907, 50, 2, 1, "gfe"),
+            (908, 50, 3, 2, "gfe"),
+        ]
+        local_search, descent = solvers._local_search, solvers._descent
+        descents = []
+
+        def never_clean(labels, state, search):
+            labels, state, _ = yield from local_search(labels, state, search)
+            return labels, state, False
+
+        def counting_descent(*args):
+            descents[-1] += 1
+            return (yield from descent(*args))
+
+        monkeypatch.setattr(solvers, "_descent", counting_descent)
+        for seed, n, g, p, mode in panels:
+            data, _, _ = make_grouped_dataset(
+                np.random.default_rng(seed), n=n, t=4, p=p, g=g, sigma=np.linspace(0.3, 1.5, g)
+            )
+            cfg = SolverConfig(mode=mode, n_groups=g, vns_iter_max=4, vns_neigh_max=6)
+            runs = []
+            for search in (local_search, never_clean):
+                monkeypatch.setattr(solvers, "_local_search", search)
+                rng = np.random.default_rng(seed)
+                descents.append(0)
+                runs.append((vns(data, cfg, rng), rng.bit_generator.state))
+            (got, got_rng), (ref, ref_rng) = runs
+            np.testing.assert_array_equal(got.assignment.labels, ref.assignment.labels)
+            for a, b in [
+                (got.params.theta, ref.params.theta),
+                (got.params.alpha, ref.params.alpha),
+                (got.params.sigma, ref.params.sigma),
+                (got.params.weights, ref.params.weights),
+                (got.breakdown.per_group_ssr, ref.breakdown.per_group_ssr),
+            ]:
+                assert a.tobytes() == b.tobytes()
+            assert got.objective == ref.objective
+            assert got.trace == ref.trace
+            assert got.n_lloyd_iters == ref.n_lloyd_iters
+            assert got.converged == ref.converged
+            assert got_rng == ref_rng
+            assert descents[-2] < descents[-1]
+
+    def test_jump_offsets_match_one_draw_per_unit(self):
+        # _jump draws the movers' offsets in one call; the labels and the
+        # generator's state afterwards are those of one draw per mover
+        refills = 0
+
+        def per_unit_jump(labels, g, n_moves, rng):
+            nonlocal refills
+            labels = labels.copy()
+            n = labels.shape[0]
+            for i in rng.choice(n, size=min(n_moves, n), replace=False):
+                labels[i] = (labels[i] - 1 + rng.integers(1, g)) % g + 1
+            counts = np.bincount(labels - 1, minlength=g)
+            for gg in np.nonzero(counts == 0)[0] + 1:
+                donors = np.nonzero(counts[labels - 1] > 1)[0]
+                i = donors[rng.integers(donors.shape[0])]
+                counts[labels[i] - 1] -= 1
+                labels[i] = gg
+                counts[gg - 1] += 1
+                refills += 1
+            return labels
+
+        for g, size, seed in itertools.product(range(2, 7), range(1, 11), range(300)):
+            labels = np.random.default_rng([g, seed]).integers(1, g + 1, size=12)
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = solvers._jump(labels, g, size, got_rng)
+            ref = per_unit_jump(labels, g, size, ref_rng)
+            np.testing.assert_array_equal(got, ref)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert refills > 0  # some jumps empty a group and refill it
+
     def test_ggfe_mode_rejected(self, rng):
         # the searches fit the wgfe criterion, so a ggfe run would return a
         # wgfe fit under the ggfe label
@@ -1252,7 +1359,7 @@ class TestMultiStart:
         assert len(moved) > 66
 
     def test_partition_cache_is_written_once_per_key(self, monkeypatch):
-        # a local search may be taken from memory only because every cached
+        # a jump's outcome may be taken from memory only because every cached
         # state stays as first stored; a second write to a key would raise
         class WriteOnce(dict):
             def __setitem__(self, key, value):
@@ -1266,15 +1373,31 @@ class TestMultiStart:
             other.states = WriteOnce()
             return other
 
-        searches = {"clean": 0, "stalled": 0}
-        local_search = solvers._local_search
+        # vns remembers a jump's outcome by the key of its descent's first
+        # grouping once its local search skipped no stall; a second clean
+        # search from one key in one run would mean the memo missed a stored
+        # key or was written twice
+        searches = {"clean": 0, "stalled": 0, "remembered": 0}
+        local_search, first_grouping = solvers._local_search, solvers._first_grouping
+        last_first, remembered = {}, set()
+
+        def keyed_first_grouping(search, *args):
+            first = first_grouping(search, *args)
+            last_first[id(search)] = first[1]
+            searches["remembered"] += (id(search), first[1]) in remembered
+            return first
 
         def counting_search(labels, state, search):
             out = yield from local_search(labels, state, search)
             searches["clean" if out[2] else "stalled"] += 1
+            if out[2]:
+                memo_key = (id(search), last_first[id(search)])
+                assert memo_key not in remembered, "memo key written twice"
+                remembered.add(memo_key)
             return out
 
         monkeypatch.setattr(solvers._Search, "restart", write_once_restart)
+        monkeypatch.setattr(solvers, "_first_grouping", keyed_first_grouping)
         monkeypatch.setattr(solvers, "_local_search", counting_search)
         # (panel seed, N, p, true scales, mode, fp_max_iters)
         cases = [
@@ -1291,9 +1414,11 @@ class TestMultiStart:
                 mode=mode, n_groups=len(sigma), n_restarts=4, seed=seed,
                 fp_max_iters=fp_iters, vns_iter_max=3, vns_neigh_max=4,
             )
+            remembered.clear()
             outs = solvers._restart_outcomes(data, cfg)
             assert any(isinstance(out, EstimationResult) for out in outs)
         assert searches["clean"] > 0 and searches["stalled"] > 0
+        assert searches["remembered"] > 0
 
     def test_singular_start_is_logged_once_per_call(self, rng, caplog):
         # the pooled start is fitted once for all restarts, so its fallback
