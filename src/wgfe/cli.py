@@ -463,17 +463,28 @@ def _add_solver_flags(sub, with_mode=True):
             "--mode", choices=("wgfe", "gfe", "ggfe"), default="wgfe",
             help="criterion to optimize (default wgfe)",
         )
-    sub.add_argument("--groups", type=int, default=2, help="number of groups")
+    sub.add_argument("--groups", type=_count, default=2, help="number of groups")
     sub.add_argument(
-        "--restarts", type=int, default=20, help="multi-start restarts"
+        "--restarts", type=_count, default=20, help="multi-start restarts"
     )
     sub.add_argument(
         "--tol", type=float, default=1e-8, help="slope fixed-point tolerance"
     )
     sub.add_argument(
-        "--max-iters", type=int, default=100,
+        "--max-iters", type=_count, default=100,
         help="cap on assignment/update rounds per run",
     )
+
+
+def _count(text):
+    """Parse a count flag (``--groups``, ``--restarts``, ...): a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _curve_periods(text):
@@ -514,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of wgfe,gfe,two_way_fe",
     )
     sim.add_argument(
-        "--replications", type=int, default=200, help="study replications"
+        "--replications", type=_count, default=200, help="study replications"
     )
     sim.add_argument(
         "--curves", default=None,
@@ -530,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select-g", help="choose the group count by BIC")
     sel.add_argument("input", help="long-format CSV (unit,time,y,x1,...)")
-    sel.add_argument("--gmax", type=int, required=True, help="largest count tried")
+    sel.add_argument("--gmax", type=_count, required=True, help="largest count tried")
     _add_solver_flags(sel)
     _add_common_flags(sel)
     sel.set_defaults(func=cmd_select_g)

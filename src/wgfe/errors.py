@@ -20,6 +20,10 @@ class EmptyGroupError(WgfeError):
         self.groups = tuple(int(g) for g in groups)
         super().__init__(f"empty group(s): {list(self.groups)}")
 
+    def __reduce__(self):
+        # the default re-calls __init__ with the message, not the groups
+        return type(self), (self.groups,), self.__dict__
+
 
 class SingularDesignError(WgfeError):
     """The demeaned covariate Gram matrix is numerically rank deficient."""

@@ -380,10 +380,19 @@ def _inner_update(data, gamma, kernel, theta_seed):
     current slopes and solves the p-by-p GLS problem ``theta <- argmin
     sum_g sum_{i in g} (yt_i - xt_i theta)' t_g (yt_i - xt_i theta)``: the
     criterion is concave in the covariances, so this tangent majorizes it.
-    Stops when the step is at most ``fp_tol * (1 + |theta|)`` or after
-    ``fp_max_iters`` steps; a step whose value rises by more than 1e-12
-    relative ends at the previous slopes, an ill-conditioned derivative at
-    the current ones.  p = 0 takes no step.  Returns ``(theta, alpha,
+    With ``f = M(theta) - theta`` the MM step, a step that has the
+    previous iterate and its step at hand first evaluates the depth-1
+    Anderson (secant) point ``M(theta) - gamma (d_theta + d_f)``, ``gamma
+    = (f . d_f) / (d_f . d_f)``, and moves there if its value does not rise
+    by more than 1e-12 relative; a rise, or ``NonSpdError`` there, falls
+    back to the MM step and clears that history, so the next step is plain.
+    Stops at the current slopes, whose state is already evaluated, when
+    ``|f|`` is at most ``fp_tol * (1 + |M(theta)|)``, or after
+    ``fp_max_iters`` steps; an MM step whose value rises by more than
+    1e-12 relative ends at the current slopes, and so does an
+    ill-conditioned derivative.  The start is the kernel's scale-weighted
+    fit at the grouping, which raises ``SingularDesignError`` for a
+    rank-deficient one.  p = 0 takes no step.  Returns ``(theta, alpha,
     state)``, where state is the final :func:`_criterion_at` pair (value,
     barycenter factors) at those slopes and effects; a start that fits a
     group exactly beside nonzero covariances raises ``NonSpdError``.
@@ -402,7 +411,11 @@ def _inner_update(data, gamma, kernel, theta_seed):
     def effects(theta):
         return zbar[..., 0] - zbar[..., 1:] @ theta
 
-    state = _criterion_at(data, theta, effects(theta), gamma)
+    def evaluate(theta):
+        return _criterion_at(data, theta, effects(theta), gamma)
+
+    state = evaluate(theta)
+    last = None  # the previous iterate and its MM step; cleared by a rejected secant
     for _ in range(kernel.config.fp_max_iters if theta.size else 0):
         if state[1] is None:
             break  # every group fitted exactly: the criterion is zero
@@ -412,13 +425,24 @@ def _inner_update(data, gamma, kernel, theta_seed):
             break
         m = np.einsum("gts,gtasb->ab", ts, cross)
         step_to = np.linalg.solve(m[1:, 1:], m[1:, 0])
-        step = _criterion_at(data, step_to, effects(step_to), gamma)
+        f = step_to - theta
+        if np.linalg.norm(f) <= kernel.config.fp_tol * (1.0 + np.linalg.norm(step_to)):
+            break  # theta's state is already evaluated
+        if last is not None:
+            d_f = f - last[1]
+            secant = step_to - (f @ d_f) / (d_f @ d_f) * (theta - last[0] + d_f)
+            try:
+                step = evaluate(secant)
+            except NonSpdError:
+                step = None  # no criterion value counts as a rise
+            if step is not None and step[0] <= state[0] * (1.0 + 1e-12):
+                last, theta, state = (theta, f), secant, step
+                continue
+        step = evaluate(step_to)
         if step[0] > state[0] * (1.0 + 1e-12):
             break
-        size = np.linalg.norm(step_to - theta)
+        last = (theta, f) if last is None else None
         theta, state = step_to, step
-        if size <= kernel.config.fp_tol * (1.0 + np.linalg.norm(theta)):
-            break
     return theta, effects(theta), state
 
 
@@ -426,12 +450,17 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     """Estimate the full-covariance grouped model by alternating descent.
 
     Each round refits the slopes, with the effects at their group means,
-    then moves every unit to the group minimizing its exact assignment
-    derivative (:func:`assignment_gradient`, taken from the refit's final
-    barycenter pass), topping up groups left with fewer than two members
-    from the worst-scoring donors: a one-member group is fitted exactly by
-    its effect row, and a zero covariance beside nonzero ones has no
-    criterion value.
+    by :func:`_inner_update`: a majorize-minimize fixed point started at the
+    round's scale-weighted fit (so a rank-deficient grouping raises
+    ``SingularDesignError`` in any round), extrapolated by secant steps
+    kept only where the value does not rise, and stopped before a step
+    shorter than ``fp_tol`` is evaluated.  It then moves every unit to the
+    group minimizing its exact assignment derivative
+    (:func:`assignment_gradient`, taken from the refit's final barycenter
+    pass), topping up groups left with fewer than two members from the
+    worst-scoring donors: a one-member group is fitted exactly by its
+    effect row, and a zero covariance beside nonzero ones has no criterion
+    value.
     Stops at an assignment fixed point or after ``max_lloyd_iters`` rounds.
 
     Guarded stops keep the loop a descent of :func:`ggfe_objective`

@@ -715,6 +715,37 @@ class TestOutputHygiene:
         assert err["code"] == "usage" and err["exit_status"] == 2
         assert flag in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["estimate", "{panel}", "--groups", "0"], "--groups"),
+            (["estimate", "{panel}", "--restarts", "0"], "--restarts"),
+            (["estimate", "{panel}", "--mode", "ggfe", "--max-iters", "0"], "--max-iters"),
+            (["select-g", "{panel}", "--gmax", "0"], "--gmax"),
+            (["select-g", "{panel}", "--gmax", "2", "--restarts", "-3"], "--restarts"),
+            (["test-homoskedasticity", "{panel}", "--groups", "0"], "--groups"),
+            (["simulate", "{spec}", "--replications", "0"], "--replications"),
+        ],
+    )
+    def test_a_count_below_one_is_a_usage_error_before_any_read(
+        self, argv, flag, tmp_path, capsys
+    ):
+        # the inputs do not exist, so an error about the count came first
+        out = tmp_path / "out.json"
+        paths = {"{panel}": str(tmp_path / "panel.csv"), "{spec}": str(tmp_path / "spec.json")}
+        with pytest.raises(SystemExit) as info:
+            main([paths.get(a, a) for a in argv] + ["--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)["error"]
+        assert err["code"] == "usage" and err["exit_status"] == 2
+        assert err["message"] == (
+            f"argument {flag}: expected a positive integer, got {argv[-1]!r}"
+        )
+
     def test_help_still_prints_usage_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["estimate", "--help"])

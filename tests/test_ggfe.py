@@ -10,6 +10,7 @@ from wgfe.errors import (
     IllConditionedError,
     NonConvergenceError,
     NonSpdError,
+    SingularDesignError,
 )
 from wgfe.ggfe import (
     SoftAssignment,
@@ -30,7 +31,7 @@ from wgfe.model import (
 from wgfe.simlab import AR1Covariates, SimulationSpec, generate
 from wgfe.solvers import SolverConfig, _Kernel, initialize, lloyd
 
-from conftest import make_grouped_dataset
+from conftest import cell_constant_panel, make_grouped_dataset
 from reference import update_alpha, within_group_means
 
 
@@ -759,6 +760,27 @@ def refit(data, gamma):
     return theta, alpha, state[0]
 
 
+def paper_panel(n, seed):
+    """The first replication's panel of ``wgfe simulate --seed seed`` at N = n.
+
+    The design is the paper's two-group dynamic one (T = 7, p = 2).
+    """
+    t = 7
+    base = np.linspace(0.0, 0.3, t)
+    spec = SimulationSpec(
+        n_units=n,
+        n_periods=t,
+        n_groups=2,
+        theta_true=[0.554, 0.062],
+        alpha_true=np.vstack([base, base + 0.25]),
+        sigma_true=[0.219, 0.086],
+        group_probs=[0.64, 0.36],
+        covariate_law=AR1Covariates(rho=0.9, innovation_sd=0.5),
+        dynamic=True,
+    )
+    return generate(spec, np.random.default_rng(seed).spawn(1)[0])[0]
+
+
 def heteroskedastic_panel(seed, p, n=60, t=4):
     r = np.random.default_rng(seed)
     return make_grouped_dataset(
@@ -820,3 +842,83 @@ class TestSlopeRefit:
         means = within_group_means(data, truth)
         np.testing.assert_array_equal(alpha, means.outcomes)
         assert value == ggfe_objective(data, theta, alpha, truth)
+
+    @pytest.mark.parametrize("failure", ["rise", "no_value"])
+    def test_a_rejected_secant_point_falls_back_to_the_mm_step(self, failure, monkeypatch):
+        # every slope vector the refit evaluates is the start, a GLS solve
+        # (the MM step) or a secant point; each secant point is made to rise
+        # or to have no criterion value, so the refit walks the MM path
+        solved, values, secants = [], [], []
+        solve, criterion_at = np.linalg.solve, ggfe._criterion_at
+
+        def recorded_solve(*args):
+            solved.append(solve(*args))
+            return solved[-1]
+
+        def spoiled(data, theta, alpha, gamma):
+            out = criterion_at(data, theta, alpha, gamma)
+            if values and not any(np.array_equal(theta, s) for s in solved):
+                secants.append(theta)
+                if failure == "rise":
+                    return 2.0 * out[0], out[1]
+                raise NonSpdError("matrix has negative eigenvalue -1.000e-03")
+            values.append(out[0])
+            return out
+
+        panels = [heteroskedastic_panel(seed, p=2)[:2] for seed in range(4)]
+        extrapolated = [refit(data, truth)[2] for data, truth in panels]
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        monkeypatch.setattr(ggfe, "_criterion_at", spoiled)
+        for (data, truth), expected in zip(panels, extrapolated):
+            for record in (solved, values, secants):
+                record.clear()
+            theta, _, value = refit(data, truth)
+            assert secants and len(values) >= 3
+            assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
+            assert value <= min(values) * (1.0 + 1e-12)
+            assert any(np.array_equal(theta, s) for s in solved)
+            assert abs(value - expected) <= 1e-10 * expected
+
+    def test_criterion_evaluations_per_round_on_the_paper_design(self, monkeypatch):
+        # the secant step and the stop before a confirming step: the plain
+        # MM iteration took 5.94 evaluations per round on these panels; and
+        # every round starts from its own kernel fit
+        calls = {"criterion": 0, "refit": 0, "fit": 0}
+        criterion_at, inner_update, fit = ggfe._criterion_at, ggfe._inner_update, _Kernel.fit
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ggfe, "_criterion_at", counted("criterion", criterion_at))
+        monkeypatch.setattr(ggfe, "_inner_update", counted("refit", inner_update))
+        monkeypatch.setattr(_Kernel, "fit", counted("fit", fit))
+        rounds = 0
+        for s in range(16):
+            data = paper_panel(1000, 100 + s)
+            rounds += ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=s)).n_lloyd_iters
+        assert calls["refit"] == calls["fit"] == rounds
+        assert calls["criterion"] / calls["refit"] <= 4.0
+
+    def test_a_rank_deficient_grouping_after_the_first_round_raises(self, monkeypatch):
+        # the second round's grouping, by half, lets the group effects absorb
+        # the covariate; that round's kernel fit reports it
+        data, halves = cell_constant_panel(separation=0.0)
+        groupings = []
+        inner_update = ggfe._inner_update
+
+        def recorded(data, gamma, *args, **kwargs):
+            groupings.append(gamma)
+            return inner_update(data, gamma, *args, **kwargs)
+
+        def to_halves(data, theta, alpha, *state):
+            return np.eye(2)[2 - halves.labels]
+
+        monkeypatch.setattr(ggfe, "_inner_update", recorded)
+        monkeypatch.setattr(ggfe, "_membership_derivatives", to_halves)
+        with pytest.raises(SingularDesignError):
+            ggfe_descent(data, SolverConfig(mode="ggfe", n_groups=2, seed=0))
+        assert len(groupings) == 2
+        assert not groupings[0].same_as(halves) and groupings[1].same_as(halves)
