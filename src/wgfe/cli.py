@@ -564,8 +564,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --seed: expected a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         _emit_error(exc, EXIT_INPUT)
         return EXIT_INPUT
     except (WgfeError, np.linalg.LinAlgError) as exc:

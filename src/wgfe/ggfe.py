@@ -29,6 +29,7 @@ from .model import (
     _clamped_sigma,
     _group_demeaned,
     _group_gram,
+    _lower,
     _stacked,
     group_ssr,
     residual_profiles,
@@ -383,13 +384,13 @@ def _inner_update(data, gamma, kernel, theta_seed):
     With ``f = M(theta) - theta`` the MM step, a step that has the
     previous iterate and its step at hand first evaluates the depth-1
     Anderson (secant) point ``M(theta) - gamma (d_theta + d_f)``, ``gamma
-    = (f . d_f) / (d_f . d_f)``, and moves there if its value does not rise
-    by more than 1e-12 relative; a rise, or ``NonSpdError`` there, falls
-    back to the MM step and clears that history, so the next step is plain.
-    Stops at the current slopes, whose state is already evaluated, when
-    ``|f|`` is at most ``fp_tol * (1 + |M(theta)|)``, or after
-    ``fp_max_iters`` steps; an MM step whose value rises by more than
-    1e-12 relative ends at the current slopes, and so does an
+    = (f . d_f) / (d_f . d_f)``, and moves there unless its value rises by
+    more than rounding (``model._lower``, the rule of every search and
+    refit); a rise, or ``NonSpdError`` there, falls back to the MM step and
+    clears that history, so the next step is plain.  Stops at the current
+    slopes, whose state is already evaluated, when ``|f|`` is at most
+    ``fp_tol * (1 + |M(theta)|)``, or after ``fp_max_iters`` steps; an MM
+    step whose value rises so ends at the current slopes, and so does an
     ill-conditioned derivative.  The start is the kernel's scale-weighted
     fit at the grouping, which raises ``SingularDesignError`` for a
     rank-deficient one.  p = 0 takes no step.  Returns ``(theta, alpha,
@@ -435,11 +436,11 @@ def _inner_update(data, gamma, kernel, theta_seed):
                 step = evaluate(secant)
             except NonSpdError:
                 step = None  # no criterion value counts as a rise
-            if step is not None and step[0] <= state[0] * (1.0 + 1e-12):
+            if step is not None and not _lower(state[0], step[0]):
                 last, theta, state = (theta, f), secant, step
                 continue
         step = evaluate(step_to)
-        if step[0] > state[0] * (1.0 + 1e-12):
+        if _lower(state[0], step[0]):
             break
         last = (theta, f) if last is None else None
         theta, state = step_to, step
@@ -465,8 +466,9 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
 
     Guarded stops keep the loop a descent of :func:`ggfe_objective`
     values.  A round is rolled back and ends the search when its refit
-    value rises above the incumbent (the derivative step is linearized, so
-    it can overshoot) or its grouping fits a group exactly beside nonzero
+    value rises above the incumbent's by more than rounding
+    (``model._lower``; the derivative step is linearized, so it can
+    overshoot) or its grouping fits a group exactly beside nonzero
     covariances, which has no criterion value; at the start that raises
     ``NonSpdError``.  A zero criterion, or covariances too degenerate for a
     stable derivative (near-zero residuals, groups smaller than T), ends
@@ -476,7 +478,8 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     to within ``T * sigma_floor(data)**2`` (every residual at the scale
     floor).  A rollback, any other ill-conditioned derivative or the round
     cap reports False.
-    ``trace`` records the refit value per round and is non-increasing.
+    ``trace`` records each kept round's refit value, none higher than the
+    last by more than rounding.
     """
     if config.mode != "ggfe":
         raise ValueError(f"ggfe_descent needs mode 'ggfe', got {config.mode!r}")
@@ -500,7 +503,7 @@ def ggfe_descent(data: PanelDataset, config: SolverConfig) -> EstimationResult:
                 raise
             break
         value = state[0]
-        if best is not None and value > best[3] + 1e-12 * (1.0 + abs(best[3])):
+        if best is not None and _lower(best[3], value):
             break
         trace.append(value)
         best = (theta, alpha, gamma, value)

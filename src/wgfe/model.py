@@ -51,6 +51,11 @@ EPS_SIGMA = 1e-8
 _EPS = np.finfo(float).eps
 
 
+def _lower(a, b):
+    """Whether ``a`` is below ``b`` by more than rounding: ``a < b - 1e-12 (1 + |b|)``."""
+    return a < b - 1e-12 * (1.0 + abs(b))
+
+
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)

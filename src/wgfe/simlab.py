@@ -41,8 +41,8 @@ class AR1Covariates:
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly inside (-1, 1)")
-        if self.innovation_sd < 0:
-            raise ValueError("innovation_sd must be nonnegative")
+        if not 0 <= self.innovation_sd < np.inf:
+            raise ValueError("innovation_sd must be finite and nonnegative")
 
     @property
     def n_covariates(self) -> int:
@@ -132,18 +132,14 @@ class SimulationSpec:
             )
         if self.dynamic and not abs(theta[0]) < 1.0:
             raise ValueError("the lag coefficient must be inside (-1, 1)")
-        if not (
-            np.all(np.isfinite(theta))
-            and np.all(np.isfinite(alpha))
-            and np.all(np.isfinite(sigma))
-        ):
-            raise ValueError("spec parameters must be finite")
         for name, arr in (
             ("theta_true", theta),
             ("alpha_true", alpha),
             ("sigma_true", sigma),
             ("group_probs", probs),
         ):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -342,6 +338,8 @@ def run_study(
     for name in names:
         if name not in STUDY_ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}")
+        if names.count(name) > 1:
+            raise ValueError(f"estimator {name!r} is listed more than once")
     if n_replications < 1:
         raise ValueError("need at least one replication")
     started = time.perf_counter()

@@ -29,6 +29,7 @@ from .model import (
     _group_index,
     _group_q,
     _least_squares,
+    _lower,
     _profile_criterion,
     _rank_deficient,
     _singular_design,
@@ -121,7 +122,15 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class EstimationResult:
-    """Outcome of one estimation run."""
+    """Outcome of one estimation run.
+
+    ``trace`` holds objectives: every round's for :func:`lloyd`, the
+    incumbent's at each improvement for :func:`vns` and :func:`multi_start`,
+    and each accepted round's for ``ggfe_descent``.  ``n_lloyd_iters``
+    counts rounds, over all of a ``vns`` run's descents; ``converged`` says
+    an assignment reproduced itself (for ``vns``, in the opening descent or
+    any improving jump's); ``n_restarts_used`` counts restarts that finished.
+    """
 
     params: GroupParameters
     assignment: GroupAssignment
@@ -623,22 +632,18 @@ def lloyd(
     parameters at the new grouping, and repeats until the assignment stops
     changing or ``max_lloyd_iters`` is hit.  Assignments that empty a group
     are repaired by reseeding the group from the worst-fit unit.  Each new
-    grouping is fitted, seeded at the previous fit's slopes, from its
-    per-group statistics; after the first grouping these are moved
-    from the previous grouping's by the units that changed group, unless
-    so many moved that a rebuild from all units is cheaper or the move
-    would lose precision (see ``_Kernel.move_units``).  Each assignment
-    takes the residual profiles from the search's centred data and expands
-    the squared distances from them (:func:`_assign`), so its labels can
-    differ from a direct computation's only where two groups' criterion
-    values agree to rounding.  This is the descent of :func:`vns`
-    (:func:`_descent`) with its own partition cache, driven alone: a
-    grouping the descent revisits keeps its first fit.  Only modes "wgfe"
-    and "gfe" are searched; any other raises ``ValueError``.
+    grouping is fitted, seeded at the previous fit's slopes, from per-group
+    statistics moved from the previous grouping's (see :func:`_descent`).
+    Each assignment expands squared distances from the search's centred
+    data (:func:`_assign`), so its labels can differ from a direct
+    computation's only where two groups' criterion values agree to
+    rounding.  This is the descent of :func:`vns` with its own partition
+    cache, driven alone: a grouping the descent revisits keeps its first
+    fit.  Only modes "wgfe" and "gfe" are searched; any other raises
+    ``ValueError``.
 
-    The returned state is self-consistent: parameters are the update at the
-    returned assignment, and the assignment reproduces itself under the rule
-    at those parameters.
+    The returned parameters are the update at the returned assignment;
+    when ``converged``, that assignment reproduces itself under the rule.
 
     The scale-aware rule is not an exact descent step on the weighted
     criterion.  At fixed slopes and effects, moving one unit from group s to
@@ -648,9 +653,7 @@ def lloyd(
 
     with d the unit's squared profile distance, so the rule's scale penalty
     is T times smaller than the criterion's, and the objective can rise for
-    a step or two before settling.  ``trace`` therefore reports the final
-    descent stretch, from the last such rise to the fixed point, and is
-    non-increasing by construction; ``n_lloyd_iters`` counts every round.
+    a step or two before settling; ``trace`` keeps every round, rises too.
     """
     search = _Search(data, config)
     first = _first_grouping(search, init.theta, init.alpha, init.sigma)
@@ -777,19 +780,10 @@ def _descent(search, first):
         labels_next = _repair_empty(*_assign(search, *state[:3]))
         converged = np.array_equal(labels_next, labels)
         if converged or it == config.max_lloyd_iters - 1:
-            return state, labels, _last_descent(trace), it + 1, converged
+            return state, labels, tuple(trace), it + 1, converged
         units = np.flatnonzero(base[0] != labels_next)
         key = search.key_after(base[1], base[0], labels_next, units)
         labels, seed = labels_next, state[0]
-
-
-def _last_descent(trace):
-    """The stretch of a Lloyd trace from its last objective rise on, as a tuple."""
-    start = 0
-    for i in range(1, len(trace)):
-        if trace[i] > trace[i - 1] + 1e-12 * (1.0 + abs(trace[i - 1])):
-            start = i
-    return tuple(trace[start:])
 
 
 def _build_result(config, state, labels, n_iters, converged, trace):
@@ -947,7 +941,7 @@ def _local_search(labels, state, search):
                     continue
                 if isinstance(out, Exception):
                     raise out
-                if out[4] < obj - 1e-12 * (1.0 + abs(obj)):
+                if _lower(out[4], obj):
                     labels = labels.copy()
                     labels[units[k]] = targets[k]
                     labels, key, state, obj = _frozen(labels), keys[k], out, out[4]
@@ -968,8 +962,8 @@ def vns(
     to ``vns_iter_max`` rounds, a jump relocates n random units of the
     incumbent grouping, one update step re-fits parameters, a Lloyd descent
     and a single-move local search polish the result, and the incumbent is
-    replaced whenever the final objective strictly improves on the best
-    found so far (resetting n to 1); otherwise n escalates to
+    replaced whenever the final objective is below the best found so far
+    by more than rounding (resetting n to 1); otherwise n escalates to
     ``vns_neigh_max``.  A jump whose fit, descent or local search does not
     converge counts as no improvement.  With ``vns_neigh_max=0``, or a
     single group (where no jump can move a unit), this is exactly one Lloyd
@@ -1056,7 +1050,7 @@ def _vns_run(search, rng, init):
             except NonConvergenceError:
                 n += 1
                 continue
-            if state_c[4] < best_obj - 1e-12 * (1.0 + abs(best_obj)):
+            if _lower(state_c[4], best_obj):
                 best_labels, best_state = labels_c, state_c
                 best_obj = state_c[4]
                 converged = converged or conv_d
@@ -1081,10 +1075,10 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
     or its local search's moves) in one batched fixed point.  Only modes
     "wgfe" and "gfe" are searched; any other raises ``ValueError``.
 
-    A later restart replaces the best so far only when it improves on it by
-    more than the searches' own 1e-12 relative threshold, so ties (often
-    the same partition with its labels permuted) go to the lowest restart
-    index rather than to rounding noise.  A restart that
+    A later restart replaces the best so far only when it is lower by more
+    than rounding (``model._lower``, the rule of every search and refit), so
+    ties (often the same partition with its labels permuted) go to the
+    lowest restart index rather than to rounding noise.  A restart that
     raises a package error or a linear-algebra failure is skipped; any other
     exception propagates.  When every restart fails, raises the first
     failure if all of them are ``SingularDesignError`` (a design no grouping
@@ -1098,9 +1092,7 @@ def multi_start(data: PanelDataset, config: SolverConfig) -> EstimationResult:
             failures.append((k, out))
             continue
         n_ok += 1
-        if best is None or out.objective < best.objective - 1e-12 * (
-            1.0 + abs(best.objective)
-        ):
+        if best is None or _lower(out.objective, best.objective):
             best = out
     if best is None:
         if all(isinstance(exc, SingularDesignError) for _, exc in failures):

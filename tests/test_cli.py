@@ -1,6 +1,7 @@
 """Tests for the command line interface: CSV ingestion, commands, JSON output."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -185,7 +186,82 @@ def ingest_error(tmp_path, text, kind=ParseError):
     return type(info.value), str(info.value), info.value.line, info.value.column
 
 
+def messy_csv(r):
+    """The lines of a small seeded panel CSV with some of ingest_csv's row problems mixed in.
+
+    Each data row may get a bad field count, an empty unit id, a cell that
+    is not a number or not finite, a repeat elsewhere in the file or no row at
+    all (a missing cell); blank rows fall between rows, and ids may be
+    quoted, padded or repeated after stripping.
+    """
+    p = int(r.integers(0, 3))
+    header = ["unit", "time", "y"] + [f"x{j + 1}" for j in range(p)]
+    ids = ["a", " a ", '"c,d"', "7", "e"]
+    units = [ids[k] for k in r.choice(len(ids), size=int(r.integers(1, 4)), replace=False)]
+    rate = r.choice([0.0, 0.05, 0.2])
+    lines, repeats = [",".join(header)], []
+    for unit, s in itertools.product(units, range(1, int(r.integers(1, 4)) + 1)):
+        cells = [unit, r.choice([f"{s}", f"{s}.0", f" {s} ", f"{s}e0"])]
+        cells += [f"{v:.3f}" for v in r.standard_normal(1 + p)]
+        problem = r.integers(7) if r.random() < rate else None
+        if problem == 0:
+            cells[r.integers(1, len(cells))] = r.choice(["abc", "", "1.2.3", "--1"])
+        elif problem == 1:
+            cells[r.integers(1, len(cells))] = r.choice(["nan", "inf", "-inf", " Infinity "])
+        elif problem == 2:
+            cells = cells[:-1] if r.random() < 0.5 else cells + ["0"]
+        elif problem == 3:
+            cells[0] = r.choice(["", "  "])
+        elif problem == 4:
+            repeats.append(",".join(cells))
+        elif problem == 5:
+            continue  # a missing cell
+        elif problem == 6:
+            lines.append(r.choice(["", " , ,", ",,,,,"]))
+        lines.append(",".join(cells))
+    for line in repeats:
+        lines.insert(int(r.integers(2, len(lines) + 1)), line)
+    return lines
+
+
 class TestIngestCsvRows:
+    def test_the_bulk_checks_raise_what_the_row_scan_finds(self, tmp_path):
+        # on each file ingest_csv either reads it, with no row problem, or
+        # raises the first row problem the per-row scan returns, or, with no
+        # row problem, reports missing cells or no data rows
+        from wgfe.cli import _first_problem
+
+        seen = set()
+        path = tmp_path / "p.csv"
+        for case in range(300):
+            r = np.random.default_rng(case)
+            path.write_text("\n".join(messy_csv(r)) + "\n")
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                header = [h.strip() for h in next(reader)]
+                rows = list(reader)
+            expected = _first_problem(header, rows)
+            try:
+                ingest_csv(path)
+            except ParseError as exc:
+                got = exc
+            else:
+                got = None
+            if expected is None:
+                assert got is None or type(got) is UnbalancedPanelError or (
+                    type(got) is ParseError and str(got) == "no data rows"
+                ), (case, got)
+                seen.add(type(got).__name__)
+            else:
+                assert (type(got), str(got), got.line, got.column) == (
+                    type(expected), str(expected), expected.line, expected.column
+                ), case
+                seen.add(str(expected).split(" ")[0] + (expected.column or ""))
+        assert seen >= {
+            "NoneType", "UnbalancedPanelError", "expected", "emptyunit", "invalidtime",
+            "invalidy", "repeated",
+        }, seen
+
     def test_blank_rows_are_skipped_but_counted_as_lines(self, tmp_path):
         text = "unit,time,y\na,1,1.0\n\n,,\n  , ,\t\na,2,2.0\n"
         data = ingest_text(tmp_path, text)
@@ -548,6 +624,33 @@ class TestSimulateCommand:
         assert (err["code"], err["exit_status"], err["message"]) == ("value", 2, named)
 
 
+    @pytest.mark.parametrize("edit,named", [
+        ({"group_probs": [float("nan"), 0.5]}, "group_probs"),
+        ({"covariate_law": {"kind": "ar1", "rho": 0.5, "innovation_sd": float("nan")}},
+         "innovation_sd"),
+    ], ids=["group_probs", "innovation_sd"])
+    def test_a_non_finite_parameter_exits_two_naming_it(self, edit, named, tmp_path, capsys):
+        # json reads NaN, so a process description can carry one
+        path = self.write_spec(tmp_path, **edit)
+        assert "NaN" in Path(path).read_text()
+        assert main(["simulate", path, "--replications", "1"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["code"] == "value" and named in err["message"]
+
+    def test_a_repeated_estimator_exits_two_naming_it(self, tmp_path, capsys):
+        path = self.write_spec(tmp_path)
+        out = tmp_path / "study.json"
+        argv = ["simulate", path, "--estimators", "wgfe,wgfe", "--replications", "1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["code"] == "value" and "'wgfe'" in err["message"]
+
+
 class TestSelectGCommand:
     def three_group_panel(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -745,6 +848,31 @@ class TestOutputHygiene:
         assert err["message"] == (
             f"argument {flag}: expected a positive integer, got {argv[-1]!r}"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{panel}/x"],
+        ["estimate", "{panel}", "--restarts", "1", "--out", "{panel}/out.json"],
+        ["simulate", "{spec}", "--replications", "1", "--out", "{dir}/study.json",
+         "--curves", "{panel}/c.csv"],
+    ], ids=["input", "out", "curves"])
+    def test_a_path_under_a_file_exits_two_with_one_json_line(self, argv, tmp_path, capsys):
+        data, _ = clustered_fixture()
+        panel = write_panel(tmp_path / "panel.csv", data)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_units": 20, "n_periods": 3, "n_groups": 2,
+            "theta_true": [0.5], "alpha_true": [[0, 0, 0], [3, 3, 3]],
+            "sigma_true": [0.1, 0.1], "group_probs": [0.5, 0.5],
+            "covariate_law": {"kind": "ar1", "rho": 0.5, "innovation_sd": 1.0},
+        }))
+        names = {"panel": panel, "spec": str(spec), "dir": str(tmp_path)}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["code"], err["exit_status"]) == ("not_a_directory", 2)
 
     def test_help_still_prints_usage_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:

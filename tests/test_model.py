@@ -20,6 +20,7 @@ from wgfe.model import (
     _assignment_criterion,
     _group_gram,
     _group_sums,
+    _lower,
     _profile_criterion,
     gfe_assign,
     gfe_objective,
@@ -647,3 +648,18 @@ class TestResidualProfiles:
             theta = r.standard_normal(p)
             expect = data.outcomes - data.covariates @ theta
             assert residual_profiles(data, theta).tobytes() == expect.tobytes()
+
+
+class TestLower:
+    @pytest.mark.parametrize("a,b,lower", [
+        (1.0 - 3e-12, 1.0, True),
+        (1.0 - 1e-12, 1.0, False),
+        (-1e-13, 0.0, False),
+        (-2e-12, 0.0, True),
+        (1.0, 1.0, False),
+        (1.0 + 3e-12, 1.0, False),
+    ])
+    def test_below_by_more_than_rounding(self, a, b, lower):
+        # the threshold is 1e-12 (1 + |b|): relative for large values,
+        # absolute near zero
+        assert _lower(a, b) is lower

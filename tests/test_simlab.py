@@ -62,6 +62,16 @@ class TestSimulationSpec:
         with pytest.raises(ValueError, match="rho"):
             AR1Covariates(rho=1.0, innovation_sd=1.0)
 
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5], [np.inf, 0.0], [0.5, -np.inf]])
+    def test_rejects_non_finite_probabilities_naming_them(self, probs):
+        with pytest.raises(ValueError, match="group_probs"):
+            two_group_spec(group_probs=probs)
+
+    @pytest.mark.parametrize("sd", [np.nan, np.inf, -1.0])
+    def test_ar1_law_rejects_a_bad_innovation_sd_naming_it(self, sd):
+        with pytest.raises(ValueError, match="innovation_sd"):
+            AR1Covariates(rho=0.5, innovation_sd=sd)
+
     def test_covariate_count_includes_the_lag(self):
         assert two_group_spec().n_covariates == 1
         assert two_group_spec(theta_true=[0.5, 0.8], dynamic=True).n_covariates == 2
@@ -360,6 +370,11 @@ class TestRunStudy:
             run_study(spec, [], 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="replication"):
             run_study(spec, ["gfe"], 0, np.random.default_rng(0))
+
+    def test_rejects_a_repeated_estimator_naming_it(self):
+        spec = self.zero_noise_spec()
+        with pytest.raises(ValueError, match="'wgfe' is listed more than once"):
+            run_study(spec, ["wgfe", "gfe", "wgfe"], 2, np.random.default_rng(0))
 
 
 class TestStudyReportValidation:

@@ -894,6 +894,29 @@ class TestLloyd:
             assert res.objective == pytest.approx(recompute_objective(data, res), rel=1e-12)
             assert res.objective == res.trace[-1]
 
+    def test_trace_keeps_every_round_rises_included(self):
+        # the paper's two-group dynamic design at N = 90: the scale-aware
+        # rule is not a descent step, so some of these runs rise before
+        # they settle, and the trace keeps those rounds
+        from wgfe.simlab import AR1Covariates, SimulationSpec, generate
+
+        base = np.linspace(0.0, 0.3, 7)
+        spec = SimulationSpec(
+            n_units=90, n_periods=7, n_groups=2, theta_true=[0.554, 0.062],
+            alpha_true=np.vstack([base, base + 0.25]), sigma_true=[0.219, 0.086],
+            group_probs=[0.64, 0.36],
+            covariate_law=AR1Covariates(rho=0.9, innovation_sd=0.5), dynamic=True,
+        )
+        rises = 0
+        for seed, g in itertools.product(range(4), (2, 3)):
+            data = generate(spec, np.random.default_rng(seed).spawn(1)[0])[0]
+            cfg = SolverConfig(n_groups=g)
+            res = lloyd(data, cfg, initialize(data, cfg, np.random.default_rng(seed)))
+            assert len(res.trace) == res.n_lloyd_iters
+            assert res.trace[-1] == res.objective
+            rises += int(np.sum(np.diff(res.trace) > 1e-9))
+        assert rises > 0
+
     @pytest.mark.parametrize("mode", ["wgfe", "gfe"])
     def test_termination_is_rule_stable(self, mode, rng):
         # no unit prefers another group under the mode's rule at the
